@@ -42,7 +42,6 @@ from .transforms import (
     euler_expand,
     expand_exponents_bi,
     expand_exponents_uni,
-    multiset_oracle,
     peel_bi,
     peel_uni,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "growth_constant_from_series",
     "growth_root",
     "h_series",
-    "multiset_oracle",
     "mzv_counts",
     "p_closed",
     "p_from_b",

@@ -60,32 +60,7 @@ def growth_constant() -> float:
     return numerator * vanishing_limit / plain_factors
 
 
-def _gap_coefficients(count: int) -> list[int]:
-    """Integer coefficients of the primitive gap series through degree count.
-
-    Runs the linear recurrence induced by the closed form's denominator,
-    so large truncations cost O(count) integer operations.
-    """
-    gf = p_closed_form()
-    den = {0: 1}
-    for factor in gf.denominator_factors:
-        new: dict[int, int] = {}
-        for d1, c1 in den.items():
-            for d2, c2 in dict(factor).items():
-                new[d1 + d2] = new.get(d1 + d2, 0) + c1 * c2
-        den = new
-    num = dict(gf.numerator)
-    coeffs = [0] * (count + 1)
-    for n in range(count + 1):
-        acc = num.get(n, 0)
-        for d, c in den.items():
-            if 0 < d <= n:
-                acc -= c * coeffs[n - d]
-        coeffs[n] = acc
-    return coeffs
-
-
-def _scaled_floats(coeffs: list[int], scale: float) -> list[float]:
+def _scaled_floats(coeffs: tuple[int, ...], scale: float) -> list[float]:
     """c_m * scale**m as floats, via exponent bookkeeping.
 
     The raw coefficients overflow float far before the truncations used
@@ -122,7 +97,7 @@ def growth_constant_from_series(
     """
     r = growth_root()
     scale = 0.70  # any value below 1/r keeps the rescaled sweep bounded
-    coeffs = _scaled_floats(_gap_coefficients(terms), scale)
+    coeffs = _scaled_floats(p_closed_form().expand(terms).coeffs, scale)
     offsets = [max_offset * node_ratio ** i for i in range(nodes)]
     values = []
     for t in offsets:

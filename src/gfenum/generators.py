@@ -61,6 +61,9 @@ class RationalGF:
         for factor in self.denominator_factors:
             if dict(factor).get(0) != 1:
                 raise ValueError("denominator factors must have constant term 1")
+        for poly in (self.numerator, *self.denominator_factors):
+            if any(d < 0 for d, _ in poly):
+                raise ValueError("negative degrees are not representable")
 
     @classmethod
     def build(cls, numerator: Poly, factors: Iterable[Poly]) -> RationalGF:
@@ -70,10 +73,30 @@ class RationalGF:
         )
 
     def expand(self, trunc_order: int) -> UniSeries:
-        out = UniSeries.from_terms(trunc_order, dict(self.numerator))
+        """Coefficients through trunc_order, in O(trunc_order * nnz) operations.
+
+        The denominator factors are multiplied into one sparse polynomial
+        Q with Q(0) = 1, and out = numerator / Q is the linear recurrence
+        out_n = numerator_n - sum_{0 < d <= n} Q_d * out_{n-d}.
+        """
+        den = {0: 1}
         for factor in self.denominator_factors:
-            out = out * UniSeries.from_terms(trunc_order, dict(factor)).inverse()
-        return out
+            product: dict[int, int] = {}
+            for d1, c1 in den.items():
+                for d2, c2 in factor:
+                    product[d1 + d2] = product.get(d1 + d2, 0) + c1 * c2
+            den = product
+        tail = [(d, c) for d, c in sorted(den.items()) if d > 0 and c != 0]
+        num = dict(self.numerator)
+        out: list[int] = []
+        for n in range(trunc_order + 1):
+            acc = num.get(n, 0)
+            for d, c in tail:
+                if d > n:
+                    break
+                acc -= c * out[n - d]
+            out.append(acc)
+        return UniSeries(trunc_order, tuple(out))
 
 
 @lru_cache(maxsize=None)

@@ -1,32 +1,49 @@
-"""Euler transform, inverse product peeling, and a multiset-counting oracle.
+"""Euler transform and its inverse, product peeling, over one or two gradings.
 
-The Euler transform maps nonnegative graded exponents {e_m} to the series
-prod_m (1 - y**m)**(-e_m), whose coefficients count multisets of graded
-objects.  Peeling inverts a product representation degree by degree: the
-residual coefficient at a monomial reveals that monomial's exponent, the
-factor is divided out, and the walk moves on.  Two sign conventions are
-supported, a product of inverse factors and a plain product.
+The Euler transform maps graded exponents {e_n} to the series
+prod_n (1 - m_n)**(-e_n) over monomials m_n; with nonnegative exponents
+its coefficients count multisets of graded objects.  Peeling inverts it:
+given a series with constant term 1 it recovers the exponents.  Two sign
+conventions are supported, a product of inverse factors and a plain
+product; they differ by one negation of the exponent family.
 
 Exponent families are plain mappings, ``{degree: exponent}`` for one
-grading and ``{(j, d): exponent}`` for two; absent indices mean zero.
+grading and ``{(j, d): exponent}`` for monomials x**j * y**d in two.
+Absent indices mean zero.  A one-grading series is the j = 0 row of a
+two-grading grid, so one pair of kernels serves both.
 
-Everything stays in integer arithmetic: the (1 - y**m)**n factors are
-expanded with binomial coefficients rather than via log/exp, so no
-rational intermediates appear and a fractional residual exponent is a
-detectable error, never a rounding artefact.
+Both kernels use the log-derivative recurrence of Bernstein and Sloane
+("Some canonical sequences of integers", 1995), generalised to a weighted
+grid.  With wt(n) the total weight of monomial n, applying the weighted
+Euler operator to log F turns the product into
+
+    wt(n) * a_n = sum_{0 < k <= n} c_k * a_{n-k},
+    c_n = sum_{k | n} wt(k) * e_k,
+
+where k <= n is componentwise and k | n means n = t*k for an integer
+t >= 1.  The forward kernel builds c from e and then a from c.  The peel
+recovers c from a by the same recurrence (a_0 = 1, so no division) and
+then e from c by Moebius inversion over the multiples.  Everything stays in
+integers.  Forward, the right-hand side equals wt(n) * a_n and a product
+of integer factors has integer a_n, so the division is exact; it is
+checked anyway.  In the peel, c is integral whenever a is (a_0 = 1 needs
+no division), and an inexact division by wt(n) is exactly the case where
+no integer exponent family exists, so it raises NonIntegerExponent
+instead of producing a rational.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
-from typing import Mapping
+from operator import mul
+from typing import Mapping, Sequence
 
-from .series import BiSeries, Coeff, UniSeries, _norm
+from .series import BiSeries, Coeff, UniSeries, _zero_rows
 
 PRODUCT_OF_INVERSES = "product_of_inverses"
 PRODUCT_PLAIN = "product_plain"
 _FORMS = (PRODUCT_OF_INVERSES, PRODUCT_PLAIN)
+
+Monomial = tuple[int, int]
 
 
 class NonUnitConstant(ValueError):
@@ -41,208 +58,147 @@ class NegativeExponent(ValueError):
     """Euler expansion is defined for nonnegative exponents only."""
 
 
-def _check_form(form: str) -> None:
+def _sign(form: str) -> int:
+    """+1 if exponents of ``form`` are those of a product of inverses, else -1."""
     if form not in _FORMS:
         raise ValueError(f"form must be one of {_FORMS}, got {form!r}")
+    return 1 if form == PRODUCT_OF_INVERSES else -1
 
 
-def _expanded_factor(n: int, tmax: int) -> list[int]:
-    """Coefficients c_t of (1 - u)**n = sum_t c_t u**t, t = 0 .. tmax."""
-    out = []
-    for t in range(tmax + 1):
-        if n >= 0:
-            if t > n:
-                break
-            out.append(comb(n, t) * (-1 if t % 2 else 1))
-        else:
-            out.append(comb(-n - 1 + t, t))
-    return out
+def _monomials(weight_x: int, weight_y: int, max_weight: int) -> list[tuple[int, int, int]]:
+    """(wt, d, j) for every nonconstant monomial of the grid, in increasing order.
+
+    Every proper divisor and every componentwise-smaller monomial of n has
+    smaller weight, so this order visits them all before n.
+    """
+    return sorted(
+        (weight_x * j + weight_y * d, d, j)
+        for j in range(max_weight // weight_x + 1)
+        for d in range((max_weight - weight_x * j) // weight_y + 1)
+        if j or d
+    )
 
 
-def _one_minus_pow(step: int, n: int, trunc: int) -> dict[int, int]:
-    """Coefficients of (1 - y**step)**n through degree trunc, any integer n."""
-    return {t * step: c for t, c in enumerate(_expanded_factor(n, trunc // step))}
+def _convolve(c: list[list[Coeff]], a: Sequence[Sequence[Coeff]], j: int, d: int) -> Coeff:
+    """sum over k <= (j, d) componentwise of c_k * a_{(j, d) - k}."""
+    return sum(sum(map(mul, c[i][: d + 1], a[j - i][d::-1])) for i in range(j + 1))
+
+
+def _add_to_multiples(rows: list[list[Coeff]], j: int, d: int, value: Coeff) -> None:
+    """Add value at t * (j, d) for every t >= 1 that lies in the grid."""
+    t = 1
+    while t * j < len(rows) and t * d < len(rows[t * j]):
+        rows[t * j][t * d] += value
+        t += 1
+
+
+def _euler(
+    exponents: Mapping[Monomial, int], weight_x: int, weight_y: int, max_weight: int
+) -> list[list[Coeff]]:
+    """Coefficient rows of prod_n (1 - x**j * y**d)**(-e_n), n = (j, d)."""
+    c = _zero_rows(weight_x, weight_y, max_weight)
+    for (j, d), e in exponents.items():
+        if j < 0 or d < 0 or j == d == 0:
+            raise ValueError(f"exponent key {(j, d)} is not a positively graded monomial")
+        _add_to_multiples(c, j, d, (weight_x * j + weight_y * d) * e)
+    a = _zero_rows(weight_x, weight_y, max_weight)
+    a[0][0] = 1
+    for wt, d, j in _monomials(weight_x, weight_y, max_weight):
+        a[j][d], rest = divmod(_convolve(c, a, j, d), wt)
+        if rest:
+            raise ArithmeticError(f"inexact division by weight {wt} at monomial {(j, d)}")
+    return a
+
+
+def _peel(
+    rows: Sequence[Sequence[Coeff]], weight_x: int, weight_y: int, max_weight: int
+) -> dict[Monomial, int]:
+    """The nonzero e_n with prod_n (1 - x**j * y**d)**(-e_n) == rows.
+
+    ``rows[0][0]`` must be 1.  Keys come out in increasing weight, ties
+    broken by increasing d.
+    """
+    c = _zero_rows(weight_x, weight_y, max_weight)
+    # wt(k) * e_k summed over the divisors k of each monomial peeled so far;
+    # at n that is exactly the proper divisors
+    divisor_sums = _zero_rows(weight_x, weight_y, max_weight)
+    exponents: dict[Monomial, int] = {}
+    for wt, d, j in _monomials(weight_x, weight_y, max_weight):
+        c[j][d] = wt * rows[j][d] - _convolve(c, rows, j, d)
+        residue = c[j][d] - divisor_sums[j][d]
+        e, rest = divmod(residue, wt)
+        if rest:
+            raise NonIntegerExponent(f"exponent of monomial {(j, d)} is {residue / wt}")
+        if e:
+            exponents[(j, d)] = e
+            _add_to_multiples(divisor_sums, j, d, wt * e)
+    return exponents
 
 
 def euler_expand(exponents: Mapping[int, int], min_degree: int, trunc_order: int) -> UniSeries:
     """Expand prod_{m >= min_degree} (1 - y**m)**(-e_m) through trunc_order."""
     if min_degree < 1:
         raise ValueError("min_degree must be >= 1")
-    result = UniSeries.one(trunc_order)
-    for m in sorted(exponents):
-        e = exponents[m]
+    for m, e in exponents.items():
         if e < 0:
             raise NegativeExponent(f"exponent {e} at degree {m}")
-        if e == 0 or m < min_degree or m > trunc_order:
-            continue
-        result = result * UniSeries.from_terms(trunc_order, _one_minus_pow(m, -e, trunc_order))
-    return result
+    keyed = {(0, m): e for m, e in exponents.items() if m >= min_degree}
+    (row,) = _euler(keyed, trunc_order + 1, 1, trunc_order)
+    return UniSeries(trunc_order, tuple(row))
 
 
 def expand_exponents_uni(exponents: Mapping[int, int], trunc_order: int, form: str) -> UniSeries:
     """Re-expand a peeled exponent family, in either sign convention."""
-    _check_form(form)
-    sign = -1 if form == PRODUCT_OF_INVERSES else 1
-    result = UniSeries.one(trunc_order)
-    for m in sorted(exponents):
-        e = exponents[m]
-        if e == 0 or m > trunc_order:
-            continue
-        result = result * UniSeries.from_terms(
-            trunc_order, _one_minus_pow(m, sign * e, trunc_order)
-        )
-    return result
+    sign = _sign(form)
+    keyed = {(0, m): sign * e for m, e in exponents.items()}
+    (row,) = _euler(keyed, trunc_order + 1, 1, trunc_order)
+    return UniSeries(trunc_order, tuple(row))
 
 
 def expand_exponents_bi(
-    exponents: Mapping[tuple[int, int], int],
+    exponents: Mapping[Monomial, int],
     weight_x: int,
     weight_y: int,
     max_weight: int,
     form: str,
 ) -> BiSeries:
     """Re-expand a bivariate exponent family over monomials x**j * y**d."""
-    _check_form(form)
-    sign = -1 if form == PRODUCT_OF_INVERSES else 1
-    result = BiSeries.one(weight_x, weight_y, max_weight)
-    order = sorted(exponents, key=lambda jd: (weight_x * jd[0] + weight_y * jd[1], jd[1]))
-    for j, d in order:
-        e = exponents[(j, d)]
-        step = weight_x * j + weight_y * d
-        if e == 0 or step > max_weight or step == 0:
-            continue
-        terms = {
-            (t * j, t * d): c
-            for t, c in enumerate(_expanded_factor(sign * e, max_weight // step))
-        }
-        result = result * BiSeries.from_terms(weight_x, weight_y, max_weight, terms)
-    return result
-
-
-def _require_int(value: Coeff) -> int:
-    if isinstance(value, Fraction):
-        raise NonIntegerExponent(f"residual exponent {value} is not an integer")
-    return value
-
-
-def _mul_inplace_uni(residual: list[Coeff], factor: Mapping[int, int]) -> None:
-    # factor has constant term 1 and positive-degree shifts only, so a
-    # descending sweep can update in place.
-    shifts = sorted(d for d in factor if d > 0)
-    for n in range(len(residual) - 1, 0, -1):
-        acc = residual[n]
-        for d in shifts:
-            if d > n:
-                break
-            c = factor[d]
-            if c != 0 and residual[n - d] != 0:
-                acc += c * residual[n - d]
-        residual[n] = _norm(acc)
+    sign = _sign(form)
+    signed = {jd: sign * e for jd, e in exponents.items()}
+    rows = _euler(signed, weight_x, weight_y, max_weight)
+    return BiSeries(weight_x, weight_y, max_weight, tuple(tuple(r) for r in rows))
 
 
 def peel_uni(series: UniSeries, form: str) -> dict[int, int]:
     """Recover {e_m} with prod_m (1 - y**m)**(sign * e_m) == series.
 
-    Degrees are processed in increasing order; each factor first perturbs
-    exactly its own monomial, so the residual coefficient of y**m is the
-    exponent (up to the sign convention).  Raises NonUnitConstant unless
-    the constant term is 1, and NonIntegerExponent if a residual exponent
-    is fractional, which falsifies the product form.
+    Raises NonUnitConstant unless the constant term is 1, and
+    NonIntegerExponent if an exponent is fractional, which falsifies the
+    product form.
     """
-    _check_form(form)
+    sign = _sign(form)
     if series[0] != 1:
         raise NonUnitConstant(f"constant term is {series[0]}, expected 1")
-    residual: list[Coeff] = list(series.coeffs)
-    exponents: dict[int, int] = {}
-    for m in range(1, series.trunc_order + 1):
-        c = residual[m]
-        e = _require_int(c if form == PRODUCT_OF_INVERSES else -c)
-        if e == 0:
-            continue
-        exponents[m] = e
-        divisor_power = e if form == PRODUCT_OF_INVERSES else -e
-        _mul_inplace_uni(residual, _one_minus_pow(m, divisor_power, series.trunc_order))
-    return exponents
+    n = series.trunc_order
+    return {m: sign * e for (_, m), e in _peel((series.coeffs,), n + 1, 1, n).items()}
 
 
-def peel_bi(series: BiSeries, form: str = PRODUCT_PLAIN) -> dict[tuple[int, int], int]:
+def peel_bi(series: BiSeries, form: str = PRODUCT_PLAIN) -> dict[Monomial, int]:
     """Recover {(j, d): e} with prod (1 - x**j * y**d)**(sign * e) == series.
 
-    Only monomials with positive y-degree are peeled, in increasing total
-    weight with ties broken by increasing d.  After the walk the residual
-    must be exactly 1; a leftover pure-x term means the input was not a
-    product of the expected form and raises NonIntegerExponent.
+    Only monomials with positive y-degree are peeled, so the input must
+    satisfy F(x, 0) == 1; a pure-x term means the input was not a product
+    of the expected form and raises NonIntegerExponent.  Keys come out in
+    increasing total weight with ties broken by increasing d.
     """
-    _check_form(form)
+    sign = _sign(form)
     if series[(0, 0)] != 1:
         raise NonUnitConstant(f"constant term is {series[(0, 0)]}, expected 1")
-    wx, wy, w = series.weight_x, series.weight_y, series.max_weight
-    rows: list[list[Coeff]] = [list(row) for row in series.coeffs]
-    monomials = sorted(
-        (wx * j + wy * d, d, j)
-        for j in range(len(rows))
-        for d in range(1, len(rows[j]))
-    )
-    exponents: dict[tuple[int, int], int] = {}
-    for weight, d, j in monomials:
-        c = rows[j][d]
-        e = _require_int(c if form == PRODUCT_OF_INVERSES else -c)
-        if e == 0:
-            continue
-        exponents[(j, d)] = e
-        divisor_power = e if form == PRODUCT_OF_INVERSES else -e
-        factor = _expanded_factor(divisor_power, w // weight)
-        _mul_inplace_bi(rows, j, d, factor)
-    for j in range(1, len(rows)):
-        if rows[j][0] != 0:
+    for j in range(1, series.j_limit + 1):
+        if series[(j, 0)] != 0:
             raise NonIntegerExponent(
-                f"residual x**{j} coefficient {rows[j][0]}; the input is not an "
+                f"residual x**{j} coefficient {series[(j, 0)]}; the input is not an "
                 "exact product over positive-depth monomials"
             )
-    return exponents
-
-
-def _mul_inplace_bi(rows: list[list[Coeff]], bj: int, bd: int, factor: list[int]) -> None:
-    # factor[0] == 1; shifts are positive multiples of (bj, bd), so a
-    # descending sweep over the triangle can update in place.
-    for j in range(len(rows) - 1, -1, -1):
-        row = rows[j]
-        for k in range(len(row) - 1, -1, -1):
-            acc = row[k]
-            for t in range(1, len(factor)):
-                jj, kk = j - t * bj, k - t * bd
-                if jj < 0 or kk < 0:
-                    break
-                c = factor[t]
-                if c != 0 and rows[jj][kk] != 0:
-                    acc += c * rows[jj][kk]
-            row[k] = _norm(acc)
-
-
-def multiset_oracle(exponents: Mapping[int, int], min_degree: int, target: int) -> int:
-    """Count multisets of graded objects with total degree == target.
-
-    There are e_m distinct objects of degree m.  The count is obtained by
-    direct recursive enumeration over (object, multiplicity) choices, with
-    no series arithmetic at all, so it is an independent cross-check of
-    `euler_expand`.
-    """
-    if target < 0:
-        raise ValueError("target degree must be >= 0")
-    objects: list[int] = []
-    for m in sorted(exponents, reverse=True):
-        if min_degree <= m <= target:
-            objects.extend([m] * max(exponents[m], 0))
-
-    def count(idx: int, remaining: int) -> int:
-        if remaining == 0:
-            return 1
-        if idx == len(objects):
-            return 0
-        degree = objects[idx]
-        total = 0
-        for copies in range(remaining // degree + 1):
-            total += count(idx + 1, remaining - copies * degree)
-        return total
-
-    return count(0, target)
+    exponents = _peel(series.coeffs, series.weight_x, series.weight_y, series.max_weight)
+    return {jd: sign * e for jd, e in exponents.items()}

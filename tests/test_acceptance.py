@@ -24,12 +24,12 @@ from gfenum.transforms import (
     PRODUCT_OF_INVERSES,
     PRODUCT_PLAIN,
     euler_expand,
-    multiset_oracle,
     peel_uni,
 )
 from gfenum.verify import default_data_path, run_all
 
 from literals import F20, P20, TABLE1, TALLIES, V20, table1_cells
+from oracles import multiset_oracle
 
 
 @contextmanager

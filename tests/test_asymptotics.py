@@ -1,12 +1,12 @@
 from gfenum.asymptotics import (
-    _gap_coefficients,
     asymptotic_report,
     growth_constant,
     growth_constant_from_series,
     growth_root,
     ratio_table,
 )
-from gfenum.generators import p_closed, primitive_counts
+from gfenum.generators import p_closed_form, primitive_counts
+from gfenum.series import UniSeries
 
 from literals import GROWTH_CONSTANT, GROWTH_ROOT
 
@@ -35,8 +35,13 @@ class TestGrowthConstant:
         assert abs(growth_constant_from_series() - growth_constant()) < 1e-10
 
     def test_gap_recurrence_matches_the_closed_expansion(self):
-        direct = p_closed(40)
-        assert _gap_coefficients(40) == list(direct.coeffs)
+        # the sparse recurrence against dense inverse-then-multiply products
+        gf = p_closed_form()
+        for n in (40, 200):
+            oracle = UniSeries.from_terms(n, dict(gf.numerator))
+            for factor in gf.denominator_factors:
+                oracle = oracle * UniSeries.from_terms(n, dict(factor)).inverse()
+            assert gf.expand(n) == oracle
 
 
 class TestConvergence:

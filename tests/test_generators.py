@@ -199,3 +199,10 @@ class TestRationalGF:
             * UniSeries.from_terms(12, {0: 1, 2: -1})
         )
         assert gf.expand(12) == direct
+
+    def test_negative_degrees_rejected(self):
+        # the sparse recurrence would silently drop them
+        with pytest.raises(ValueError):
+            RationalGF.build({-1: 1}, [{0: 1, 1: -1}])
+        with pytest.raises(ValueError):
+            RationalGF.build({0: 1}, [{0: 1, -2: 1}])

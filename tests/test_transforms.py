@@ -16,12 +16,12 @@ from gfenum.transforms import (
     euler_expand,
     expand_exponents_bi,
     expand_exponents_uni,
-    multiset_oracle,
     peel_bi,
     peel_uni,
 )
 
 from literals import DEPTH_DIAGONAL_7, F20, V20
+from oracles import multiset_oracle
 
 
 def p_exponents(max_m=20):
@@ -38,6 +38,19 @@ def naive_product_expansion(exponents, trunc):
             for n in range(m, trunc + 1):
                 coeffs[n] += coeffs[n - m]
     return coeffs
+
+
+BI_WEIGHT = 16
+
+
+def bi_families(positive_depth):
+    # exponent families over weight-(2, 3) monomials up to weight BI_WEIGHT,
+    # optionally including pure-x monomials, with either sign of exponent
+    min_d = 1 if positive_depth else 0
+    keys = st.tuples(st.integers(0, 8), st.integers(min_d, 5)).filter(
+        lambda jd: jd != (0, 0) and 2 * jd[0] + 3 * jd[1] <= BI_WEIGHT
+    )
+    return st.dictionaries(keys, st.integers(-3, 3).filter(bool), max_size=5)
 
 
 class TestEulerExpand:
@@ -66,6 +79,35 @@ class TestEulerExpand:
         exponents = {1: 2, 2: 1, 4: 3}
         series = euler_expand(exponents, 1, 10)
         assert list(series.coeffs) == naive_product_expansion(exponents, 10)
+
+    def test_keys_below_min_degree_are_ignored(self):
+        assert euler_expand({-1: 4, 0: 2, 1: 3, 2: 1}, 2, 9) == euler_expand({2: 1}, 2, 9)
+
+    @given(
+        st.dictionaries(st.integers(1, 14), st.integers(0, 4), max_size=6),
+        st.integers(1, 3),
+    )
+    @settings(deadline=None)
+    def test_matches_naive_expansion_property(self, exponents, min_degree):
+        kept = {m: e for m, e in exponents.items() if m >= min_degree}
+        series = euler_expand(exponents, min_degree, 14)
+        assert list(series.coeffs) == naive_product_expansion(kept, 14)
+        inverse_form = expand_exponents_uni(kept, 14, PRODUCT_OF_INVERSES)
+        assert list(inverse_form.coeffs) == naive_product_expansion(kept, 14)
+
+
+class TestOutOfGradingKeys:
+    @pytest.mark.parametrize("degree", [0, -2])
+    @pytest.mark.parametrize("form", [PRODUCT_OF_INVERSES, PRODUCT_PLAIN])
+    def test_uni_nonpositive_degree_rejected(self, degree, form):
+        # degree 0 used to divide by zero; degree -2 used to return the zero series
+        with pytest.raises(ValueError):
+            expand_exponents_uni({degree: 1}, 5, form)
+
+    @pytest.mark.parametrize("key", [(0, 0), (-1, 2), (1, -1)])
+    def test_bi_key_outside_positive_grading_rejected(self, key):
+        with pytest.raises(ValueError):
+            expand_exponents_bi({key: 1}, 2, 3, 12, PRODUCT_PLAIN)
 
 
 class TestPeelUni:
@@ -144,6 +186,29 @@ class TestPeelBi:
         series = BiSeries.from_terms(2, 3, 9, {(0, 0): 1, (0, 1): Fraction(1, 3)})
         with pytest.raises(NonIntegerExponent):
             peel_bi(series)
+
+    @given(bi_families(positive_depth=True), st.sampled_from([PRODUCT_OF_INVERSES, PRODUCT_PLAIN]))
+    @settings(deadline=None)
+    def test_roundtrip_property(self, exponents, form):
+        series = expand_exponents_bi(exponents, 2, 3, BI_WEIGHT, form)
+        assert peel_bi(series, form) == exponents
+
+
+class TestExpandBi:
+    @given(bi_families(positive_depth=False), st.sampled_from([PRODUCT_OF_INVERSES, PRODUCT_PLAIN]))
+    @settings(deadline=None)
+    def test_matches_factor_product_oracle(self, exponents, form):
+        # (1 - x**j * y**d)**power multiplied out with the dense series
+        # algebra, inverting the factor for negative powers
+        sign = -1 if form == PRODUCT_OF_INVERSES else 1
+        oracle = BiSeries.one(2, 3, BI_WEIGHT)
+        for (j, d), e in exponents.items():
+            factor = BiSeries.from_terms(2, 3, BI_WEIGHT, {(0, 0): 1, (j, d): -1})
+            if sign * e < 0:
+                factor = factor.inverse()
+            for _ in range(abs(e)):
+                oracle = oracle * factor
+        assert expand_exponents_bi(exponents, 2, 3, BI_WEIGHT, form) == oracle
 
 
 class TestMultisetOracle:
