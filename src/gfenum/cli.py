@@ -3,7 +3,8 @@
 Each subcommand renders one table, as TSV (default) or JSON, to stdout or
 to ``--output PATH``.  Output is byte-identical across runs for identical
 arguments.  Exit codes: 0 success, 1 verification failures (``verify``
-only), 2 usage error, 3 internal consistency error.
+only), 2 usage error (including an unreadable or malformed reference file
+and an unwritable ``--output``), 3 internal consistency error.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .transforms import (
     NonUnitConstant,
     euler_expand,
 )
-from .verify import run_all
+from .verify import ReferenceFormatError, run_all
 
 _INTERNAL_ERRORS = (
     CrossCheckError,
@@ -216,15 +217,17 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         table, notes, code = _HANDLERS[args.command](args)
+        rendered = table.to_json(args.command) if args.format == "json" else table.to_tsv()
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
     except _INTERNAL_ERRORS as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return 3
-
-    rendered = table.to_json(args.command) if args.format == "json" else table.to_tsv()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-    else:
+    except (OSError, ReferenceFormatError) as exc:  # verify's --data or the --output file
+        print(f"gfenum {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+    if not args.output:
         sys.stdout.write(rendered)
     for note in notes:
         print(note, file=sys.stderr)

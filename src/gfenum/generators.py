@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .series import BiSeries, IndexOutOfRange, UniSeries
+from .series import BiSeries, IndexOutOfRange, UniSeries, _zero_rows
 
 
 class UnsupportedDiagonal(ValueError):
@@ -35,6 +35,7 @@ class UnsupportedColumn(ValueError):
 
 
 Poly = Mapping[int, int]
+Terms = Mapping[tuple[int, int], int]  # {(j, d): coeff} for monomials x**j * y**d
 
 
 def _one_minus(*degrees: int) -> dict[int, int]:
@@ -45,25 +46,55 @@ def _one_minus(*degrees: int) -> dict[int, int]:
     return poly
 
 
+def _expand_rational(
+    numerator: Terms, factors: Sequence[Terms], weight_x: int, weight_y: int, max_weight: int
+) -> list[list[int]]:
+    """Coefficient rows of numerator / prod(factors) on the weighted grid of BiSeries.
+
+    The numerator is placed on the grid and divided by one factor at a
+    time, in place: row[j][d] -= c * rows[j - fj][d - fd] for each
+    nonconstant term c * x**fj * y**fd, in row-major order, so every
+    source is already divided.  The factors are never multiplied together,
+    so dividing by 1 - y**k costs one addition per coefficient.  A
+    one-grading series is the j = 0 row with weights (N + 1, 1).
+    """
+    if any(factor.get((0, 0)) != 1 for factor in factors):
+        raise ValueError("denominator factors must have constant term 1")
+    for poly in (numerator, *factors):
+        if any(j < 0 or d < 0 for j, d in poly):
+            raise ValueError("negative degrees are not representable")
+    rows = _zero_rows(weight_x, weight_y, max_weight)
+    for (j, d), c in numerator.items():
+        if weight_x * j + weight_y * d <= max_weight:
+            rows[j][d] += c
+    for factor in factors:
+        tail = [(fj, fd, c) for (fj, fd), c in factor.items() if (fj or fd) and c]
+        for j, row in enumerate(rows):
+            terms = [(rows[j - fj], fd, c) for fj, fd, c in tail if fj <= j]
+            for d in range(len(row)):
+                acc = row[d]
+                for source, fd, c in terms:
+                    if fd <= d:
+                        acc -= c * source[d - fd]
+                row[d] = acc
+    return rows
+
+
 @dataclass(frozen=True)
 class RationalGF:
     """A univariate rational generating function.
 
     Stored as a sparse numerator polynomial and a list of denominator
     factors, each with constant term exactly 1 so the expansion to any
-    truncation order is well defined and exact.
+    truncation order is well defined and exact.  It is the one-grading
+    adapter of the division kernel that expands the two-variable generators.
     """
 
     numerator: tuple[tuple[int, int], ...]
     denominator_factors: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self) -> None:
-        for factor in self.denominator_factors:
-            if dict(factor).get(0) != 1:
-                raise ValueError("denominator factors must have constant term 1")
-        for poly in (self.numerator, *self.denominator_factors):
-            if any(d < 0 for d, _ in poly):
-                raise ValueError("negative degrees are not representable")
+        self.expand(0)  # the kernel's checks on the factors, once at construction
 
     @classmethod
     def build(cls, numerator: Poly, factors: Iterable[Poly]) -> RationalGF:
@@ -75,28 +106,16 @@ class RationalGF:
     def expand(self, trunc_order: int) -> UniSeries:
         """Coefficients through trunc_order, in O(trunc_order * nnz) operations.
 
-        The denominator factors are multiplied into one sparse polynomial
-        Q with Q(0) = 1, and out = numerator / Q is the linear recurrence
-        out_n = numerator_n - sum_{0 < d <= n} Q_d * out_{n-d}.
+        Each pass divides by one sparse factor f, out_n -= sum_{d > 0} f_d * out_{n-d}.
         """
-        den = {0: 1}
-        for factor in self.denominator_factors:
-            product: dict[int, int] = {}
-            for d1, c1 in den.items():
-                for d2, c2 in factor:
-                    product[d1 + d2] = product.get(d1 + d2, 0) + c1 * c2
-            den = product
-        tail = [(d, c) for d, c in sorted(den.items()) if d > 0 and c != 0]
-        num = dict(self.numerator)
-        out: list[int] = []
-        for n in range(trunc_order + 1):
-            acc = num.get(n, 0)
-            for d, c in tail:
-                if d > n:
-                    break
-                acc -= c * out[n - d]
-            out.append(acc)
-        return UniSeries(trunc_order, tuple(out))
+        if trunc_order < 0:
+            raise ValueError("truncation order must be >= 0")
+        (row,) = _expand_rational(
+            {(0, d): c for d, c in self.numerator},
+            [{(0, d): c for d, c in f} for f in self.denominator_factors],
+            trunc_order + 1, 1, trunc_order,
+        )
+        return UniSeries(trunc_order, tuple(row))
 
 
 @lru_cache(maxsize=None)
@@ -116,20 +135,25 @@ def p_closed(max_m: int) -> UniSeries:
     return p_closed_form().expand(max_m)
 
 
-def _embed(series_in_y: UniSeries, j: int, k: int, max_weight: int) -> BiSeries:
-    """x**j * y**k times a series in y, as a weight-(2, 1) bivariate series."""
-    terms = {
-        (j, k + t): series_in_y[t]
-        for t in range(min(series_in_y.trunc_order, max_weight) + 1)
-    }
-    return BiSeries.from_terms(2, 1, max_weight, terms)
+# build_b over its common denominator, as monomials (j, d) = x**j * y**d
+_B_NUMERATOR = {
+    (0, 4): 1, (0, 5): -1, (1, 3): 1, (1, 4): -1, (2, 2): 1, (2, 4): -2, (3, 1): 1,
+    (3, 3): -1, (3, 4): -1, (4, 1): 1, (4, 3): -1, (4, 4): -1, (4, 5): -1, (4, 6): 1,
+}
+_B_DENOMINATOR = (
+    {(0, 0): 1, (0, 1): -1},
+    {(0, 0): 1, (0, 2): -1},
+    {(0, 0): 1, (0, 3): -1},
+    {(0, 0): 1, (3, 0): -1},
+    {(0, 0): 1, (0, 1): -1, (2, 0): -1},
+)
 
 
 @lru_cache(maxsize=None)
 def build_b(max_weight: int) -> BiSeries:
     """The conjectured two-variable generator of beta(2j + k, 2j) - 1.
 
-    Assembled exactly as
+    The generator is
 
         (b0*y**4 + b1*x*y**3 + b2*x**2*y**2) / (1 - x**3)
       + (b3*x**3*y + b4*x**4) / ((1 - x**3) * (1 - y - x**2))
@@ -137,25 +161,12 @@ def build_b(max_weight: int) -> BiSeries:
     where b0 = b1 = 1/((1-y)(1-y**2)(1-y**3)), b2 = (1+y)*b0,
     b3 = (1-y**3)*b0 and b4 = b0 - 1.  The 1/(1 - y - x**2) coupling factor
     is what later produces the quartic growth root of the primitive counts.
+    It is stored as one 14-term numerator over the common denominator
+    (1-y)(1-y**2)(1-y**3)(1-x**3)(1-y-x**2) and expanded by dividing the
+    numerator by each factor in place on the weight-(2, 1) grid.
     """
-    if max_weight < 0:
-        raise ValueError("max_weight must be >= 0")
-    w = max_weight
-    base = (
-        UniSeries.from_terms(w, _one_minus(1))
-        * UniSeries.from_terms(w, _one_minus(2))
-        * UniSeries.from_terms(w, _one_minus(3))
-    ).inverse()
-    b2 = base * UniSeries.from_terms(w, {0: 1, 1: 1})
-    b3 = base * UniSeries.from_terms(w, _one_minus(3))
-    b4 = base - UniSeries.one(w)
-
-    inv_x3 = BiSeries.from_terms(2, 1, w, {(0, 0): 1, (3, 0): -1}).inverse()
-    part1 = (_embed(base, 0, 4, w) + _embed(base, 1, 3, w) + _embed(b2, 2, 2, w)) * inv_x3
-
-    coupling = BiSeries.from_terms(2, 1, w, {(0, 0): 1, (0, 1): -1, (2, 0): -1})
-    part2 = (_embed(b3, 3, 1, w) + _embed(b4, 4, 0, w)) * inv_x3 * coupling.inverse()
-    return part1 + part2
+    rows = _expand_rational(_B_NUMERATOR, _B_DENOMINATOR, 2, 1, max_weight)
+    return BiSeries(2, 1, max_weight, tuple(tuple(r) for r in rows))
 
 
 @dataclass(frozen=True)
@@ -210,6 +221,20 @@ def beta_table(max_m: int) -> BetaTable:
     return BetaTable(max_m, entries)
 
 
+# The diagonal generators as sums of x**a / prod_t (1 - x**t), one
+# (a, (t, ...)) pair per term.  g_0 = 1/(1-x), g_1 = g_0/(1-x**3),
+# g_2 = g_1/(1-x**2), and from k = 3 on g_k = g_{k-1}/(1-x**2) plus
+# x/((1-x**2)(1-x**3)), 1/(1-x**3) and x/(1-x**2) in turn.
+_DIAGONALS = (
+    ((0, (1,)),),
+    ((0, (1, 3)),),
+    ((0, (1, 3, 2)),),
+    ((0, (1, 3, 2, 2)), (1, (2, 3))),
+    ((0, (1, 3, 2, 2, 2)), (1, (2, 3, 2)), (0, (3,))),
+    ((0, (1, 3, 2, 2, 2, 2)), (1, (2, 3, 2, 2)), (0, (3, 2)), (1, (2,))),
+)
+
+
 def g_series(k: int, trunc_order: int) -> UniSeries:
     """Diagonal generator: coefficient j is beta(2j + k, 2j), for k <= 5.
 
@@ -218,21 +243,9 @@ def g_series(k: int, trunc_order: int) -> UniSeries:
     """
     if not 0 <= k <= 5:
         raise UnsupportedDiagonal(f"no closed form for diagonal k={k}")
-    n = trunc_order
-    x = UniSeries.from_terms(n, {1: 1})
-    inv_x2 = UniSeries.from_terms(n, _one_minus(2)).inverse()
-    inv_x3 = UniSeries.from_terms(n, _one_minus(3)).inverse()
-    g = UniSeries.from_terms(n, _one_minus(1)).inverse()
-    if k >= 1:
-        g = g * inv_x3
-    if k >= 2:
-        g = g * inv_x2
-    if k >= 3:
-        g = g * inv_x2 + x * inv_x2 * inv_x3
-    if k >= 4:
-        g = g * inv_x2 + inv_x3
-    if k >= 5:
-        g = g * inv_x2 + x * inv_x2
+    g = UniSeries.zero(trunc_order)
+    for a, degrees in _DIAGONALS[k]:
+        g = g + RationalGF.build({a: 1}, map(_one_minus, degrees)).expand(trunc_order)
     return g
 
 
@@ -244,18 +257,9 @@ def h_series(j: int, trunc_order: int, orientable_only: bool = False) -> UniSeri
     """
     if not 0 <= j <= 3:
         raise UnsupportedColumn(f"no closed form for column j={j}")
-    numerators = {
-        0: {4: 1},
-        1: {3: 1},
-        2: {2: 1, 3: 1},
-        3: {1: 1, 2: 1, 3: 1, 4: 1},
-    }
-    out = UniSeries.from_terms(trunc_order, numerators[j])
-    out = out * UniSeries.from_terms(trunc_order, _one_minus(1)).inverse()
-    out = out * UniSeries.from_terms(trunc_order, _one_minus(2)).inverse()
-    if not orientable_only:
-        out = out * UniSeries.from_terms(trunc_order, _one_minus(3)).inverse()
-    return out
+    numerator = ({4: 1}, {3: 1}, {2: 1, 3: 1}, {1: 1, 2: 1, 3: 1, 4: 1})[j]
+    degrees = (1, 2) if orientable_only else (1, 2, 3)
+    return RationalGF.build(numerator, map(_one_minus, degrees)).expand(trunc_order)
 
 
 def floor_formula_diag1(j: int) -> int:

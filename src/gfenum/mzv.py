@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .generators import g_series
+from .generators import _expand_rational, g_series
 from .series import BiSeries, IndexOutOfRange
 from .transforms import PRODUCT_PLAIN, peel_bi
 
@@ -29,32 +29,35 @@ class CrossCheckError(ArithmeticError):
     """An embedded consistency check failed: the generator transcription is broken."""
 
 
+# The zeta-value product side over its common denominator, monomials (j, d) = x**j * y**d
+_MZV_NUMERATOR = {
+    (0, 0): 1, (0, 1): -1, (0, 4): -1, (1, 1): -1, (2, 0): -1,
+    (3, 0): -1, (3, 1): 1, (3, 2): 1, (4, 1): 1, (5, 0): 1,
+}
+_MZV_DENOMINATOR = ({(0, 0): 1, (2, 0): -1}, {(0, 0): 1, (3, 0): -1})
+
+
 @lru_cache(maxsize=None)
 def build_mzv_rhs(max_weight: int) -> BiSeries:
     """The product side of the zeta-value count generator.
 
         1 - y/(1 - x) - (y**2/(1 - x**2)) * ((y**2 - x**3)/(1 - x**3))
 
-    as an exact weight-(2, 3) series through max_weight.
+    as an exact weight-(2, 3) series through max_weight.  Since
+    1/(1 - x) = (1 + x)/(1 - x**2), it is one ten-term numerator over the
+    common denominator (1 - x**2)(1 - x**3), expanded by dividing the
+    numerator by each factor in place on the grid.
     """
-    w = max_weight
-    one = BiSeries.one(2, 3, w)
-    y = BiSeries.from_terms(2, 3, w, {(0, 1): 1})
-    inv_1mx = BiSeries.from_terms(2, 3, w, {(0, 0): 1, (1, 0): -1}).inverse()
-    inv_1mx2 = BiSeries.from_terms(2, 3, w, {(0, 0): 1, (2, 0): -1}).inverse()
-    inv_1mx3 = BiSeries.from_terms(2, 3, w, {(0, 0): 1, (3, 0): -1}).inverse()
-    y2_minus_x3 = BiSeries.from_terms(2, 3, w, {(0, 2): 1, (3, 0): -1})
-    return one - y * inv_1mx - y * y * inv_1mx2 * y2_minus_x3 * inv_1mx3
+    rows = _expand_rational(_MZV_NUMERATOR, _MZV_DENOMINATOR, 2, 3, max_weight)
+    return BiSeries(2, 3, max_weight, tuple(tuple(r) for r in rows))
 
 
 @lru_cache(maxsize=None)
 def build_eul_rhs(max_weight: int) -> BiSeries:
-    """The product side of the Euler-sum count generator, 1 - y/(1 - x)."""
-    w = max_weight
-    one = BiSeries.one(2, 3, w)
-    y = BiSeries.from_terms(2, 3, w, {(0, 1): 1})
-    inv_1mx = BiSeries.from_terms(2, 3, w, {(0, 0): 1, (1, 0): -1}).inverse()
-    return one - y * inv_1mx
+    """The product side of the Euler-sum count generator, 1 - y/(1 - x) = (1 - x - y)/(1 - x)."""
+    numerator, factor = {(0, 0): 1, (1, 0): -1, (0, 1): -1}, {(0, 0): 1, (1, 0): -1}
+    rows = _expand_rational(numerator, [factor], 2, 3, max_weight)
+    return BiSeries(2, 3, max_weight, tuple(tuple(r) for r in rows))
 
 
 @dataclass(frozen=True)
@@ -62,9 +65,12 @@ class MzvCounts:
     """Irreducible counts by (weight, depth), for the full grid w <= max_weight.
 
     ``mzv`` holds the zeta-value counts, ``euler`` the alternating-sum
-    counts.  Zero entries are stored too: a vanishing count is data (the
-    two tables first disagree at (12, 4), where the zeta count is 1 and
-    the Euler-sum count is 0).
+    counts.  Zero entries are stored too: a vanishing count is data.  The
+    two tables first differ at weight 12, at depth 2 (D = 1, M = 2) and at
+    depth 4 (D = 1, M = 0), and the two differences cancel: forgetting
+    depth (x = X**2, y = X**3, where y**2 - x**3 vanishes) turns both
+    product sides into (1 - X**2 - X**3)/(1 - X**2), so the depth sums
+    sum_d D(w, d) and sum_d M(w, d) agree at every weight.
     """
 
     max_weight: int

@@ -44,6 +44,10 @@ _MZV_WEIGHT = 36
 _DUAL_ROUTE_DEGREE = 40
 
 
+class ReferenceFormatError(ValueError):
+    """A reference file line that is not a well-formed claim."""
+
+
 @dataclass(frozen=True)
 class ReferenceEntry:
     claim_id: str
@@ -107,10 +111,10 @@ def load_reference(path) -> list[ReferenceEntry]:
             continue
         fields = line.split("\t")
         if len(fields) != 4:
-            raise ValueError(f"line {lineno}: expected 4 tab-separated fields")
+            raise ReferenceFormatError(f"{path}: line {lineno}: expected 4 tab-separated fields")
         claim_id, location, kind, payload = fields
         if kind not in KINDS:
-            raise ValueError(f"line {lineno}: unknown claim kind {kind!r}")
+            raise ReferenceFormatError(f"{path}: line {lineno}: unknown claim kind {kind!r}")
         entries.append(ReferenceEntry(claim_id, location, kind, payload))
     return entries
 
@@ -167,7 +171,7 @@ def _sequence_result(claim_id: str, expected: list[int], actual: list[int]) -> C
     )
 
 
-def _identity_holds(name: str, eng: _Engine) -> int:
+def _identity_holds(name: str, eng: _Engine) -> int | None:
     if name == "dual-route-primitives":
         return int(p_from_b(_DUAL_ROUTE_DEGREE) == p_closed(_DUAL_ROUTE_DEGREE))
     if name == "framed-minus-knots":
@@ -195,7 +199,7 @@ def _identity_holds(name: str, eng: _Engine) -> int:
         return int(
             all(eng.beta.get(m, 0) == floor_formula_col0(m) for m in range(_MAX_DEGREE + 1))
         )
-    raise ValueError(f"unknown identity {name!r}")
+    return None
 
 
 def _compute_actual(entry: ReferenceEntry, eng: _Engine):
@@ -249,20 +253,23 @@ def _evaluate(entry: ReferenceEntry, eng: _Engine) -> ClaimResult:
     if actual is None:
         return ClaimResult(entry.claim_id, False, entry.payload, "unrecognized claim id")
 
-    if entry.kind == "sequence":
-        return _sequence_result(entry.claim_id, _parse_ints(entry.payload), list(actual))
+    try:  # a payload that does not parse, or does not fit the claim's value, fails it
+        if entry.kind == "sequence":
+            return _sequence_result(entry.claim_id, _parse_ints(entry.payload), list(actual))
 
-    if entry.kind == "decimal_constant":
-        value_text, tol_text = entry.payload.split(",")
-        expected, tol = float(value_text), float(tol_text)
-        ok = abs(actual - expected) <= tol
-        return ClaimResult(entry.claim_id, ok, value_text, repr(actual))
+        if entry.kind == "decimal_constant":
+            value_text, tol_text = entry.payload.split(",")
+            expected, tol = float(value_text), float(tol_text)
+            ok = abs(actual - expected) <= tol
+            return ClaimResult(entry.claim_id, ok, value_text, repr(actual))
 
-    expected_int = int(entry.payload)
-    if entry.kind == "lower_bound":
-        ok = actual >= expected_int
-    else:  # exact_value, saturated_bound
-        ok = actual == expected_int
+        expected_int = int(entry.payload)
+        if entry.kind == "lower_bound":
+            ok = actual >= expected_int
+        else:  # exact_value, saturated_bound
+            ok = actual == expected_int
+    except (TypeError, ValueError) as exc:
+        return ClaimResult(entry.claim_id, False, entry.payload, f"malformed claim: {exc}")
     return ClaimResult(entry.claim_id, ok, str(expected_int), str(actual))
 
 

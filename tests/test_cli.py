@@ -135,6 +135,23 @@ class TestExitCodes:
         failing = [line for line in out.splitlines() if "\tfail\t" in line]
         assert len(failing) == 1 and failing[0].startswith("const:r")
 
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "no-such-dir" / "x.tsv"
+        code, out, err = run_cli(capsys, "beta", "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "no-such-dir" in err
+
+    def test_unreadable_reference_data_is_a_usage_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "verify", "--data", str(tmp_path / "missing.tsv"))
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "missing.tsv" in err
+        malformed = tmp_path / "malformed.tsv"
+        malformed.write_text("seq:P\tsomewhere\tsequence\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "verify", "--data", str(malformed))
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "4 tab-separated" in err
+
     def test_internal_error_exits_three(self, capsys, monkeypatch):
         def boom(_):
             raise NonIntegerExponent("fabricated inconsistency")

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfenum.generators import (
     RationalGF,
     UnsupportedColumn,
     UnsupportedDiagonal,
+    _expand_rational,
     beta_table,
     build_b,
     floor_formula_col0,
@@ -15,9 +18,10 @@ from gfenum.generators import (
     p_from_b,
     primitive_counts,
 )
-from gfenum.series import IndexOutOfRange, UniSeries
+from gfenum.series import BiSeries, IndexOutOfRange, UniSeries
 
 from literals import P20, TABLE1, TALLIES, table1_cells
+from oracles import build_b_dense
 
 
 class TestBuildB:
@@ -39,6 +43,10 @@ class TestBuildB:
         # the y**5 coefficient of the substituted series sums the degree-5
         # row of the grid: (2-1) + (2-1) + (1-1)
         assert build_b(8).substitute_x()[5] == 2
+
+    @pytest.mark.parametrize("weight", [0, 1, 4, 7, 23, 50])
+    def test_matches_the_dense_assembly(self, weight):
+        assert build_b(weight) == build_b_dense(weight)
 
 
 class TestBetaTable:
@@ -206,3 +214,45 @@ class TestRationalGF:
             RationalGF.build({-1: 1}, [{0: 1, 1: -1}])
         with pytest.raises(ValueError):
             RationalGF.build({0: 1}, [{0: 1, -2: 1}])
+        with pytest.raises(ValueError, match="truncation order"):
+            RationalGF.build({0: 1}, [{0: 1, 1: -1}]).expand(-1)
+
+
+@st.composite
+def rational_data(draw):
+    """Random sparse numerator and unit-constant factors on one of three grids."""
+    grid = draw(st.sampled_from(["x2y1", "x2y3", "row"]))
+    max_weight = draw(st.integers(0, 24))
+    weight_x, weight_y = {"x2y1": (2, 1), "x2y3": (2, 3), "row": (max_weight + 1, 1)}[grid]
+    j_st = st.just(0) if grid == "row" else st.integers(0, 5)
+    monomial = st.tuples(j_st, st.integers(0, 8))
+    coeff = st.integers(-3, 3)
+    numerator = draw(st.dictionaries(monomial, coeff, max_size=5))
+    factors = []
+    for _ in range(draw(st.integers(0, 3))):
+        tail = draw(st.dictionaries(monomial.filter(lambda jd: jd != (0, 0)), coeff, max_size=3))
+        factors.append({(0, 0): 1, **tail})
+    return numerator, factors, weight_x, weight_y, max_weight
+
+
+class TestDivisionKernel:
+    @given(rational_data())
+    @settings(deadline=None)
+    def test_matches_the_dense_product_of_inverses(self, data):
+        numerator, factors, wx, wy, w = data
+        expected = BiSeries.from_terms(wx, wy, w, numerator)
+        for factor in factors:
+            expected = expected * BiSeries.from_terms(wx, wy, w, factor).inverse()
+        rows = _expand_rational(numerator, factors, wx, wy, w)
+        assert BiSeries(wx, wy, w, tuple(tuple(r) for r in rows)) == expected
+
+    def test_factors_must_have_unit_constant_term(self):
+        for factor in ({(0, 0): 2, (0, 1): -1}, {(0, 1): -1}, {(0, 0): -1, (1, 0): 1}):
+            with pytest.raises(ValueError, match="constant term 1"):
+                _expand_rational({(0, 0): 1}, [factor], 2, 1, 6)
+
+    def test_negative_exponents_are_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            _expand_rational({(0, -1): 1}, [], 2, 1, 6)
+        with pytest.raises(ValueError, match="negative"):
+            _expand_rational({(0, 0): 1}, [{(0, 0): 1, (-1, 2): 1}], 2, 1, 6)

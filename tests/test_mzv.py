@@ -21,6 +21,7 @@ from gfenum.transforms import (
 )
 
 from literals import DEPTH_DIAGONAL_7
+from oracles import build_eul_rhs_dense, build_mzv_rhs_dense
 
 
 class TestGenerators:
@@ -40,6 +41,11 @@ class TestGenerators:
                 assert rhs[(j, 1)] == -1
         for j, k, _ in rhs.nonzero_terms():
             assert k <= 1
+
+    @pytest.mark.parametrize("weight", [0, 3, 12, 36, 60])
+    def test_both_sides_match_the_dense_assembly(self, weight):
+        assert build_mzv_rhs(weight) == build_mzv_rhs_dense(weight)
+        assert build_eul_rhs(weight) == build_eul_rhs_dense(weight)
 
 
 class TestCounts:
@@ -62,6 +68,15 @@ class TestCounts:
         differing = sorted(w for w, d in counts.grid()
                            if counts.mzv_count(w, d) != counts.euler_count(w, d))
         assert differing[0] == 12
+
+    def test_depth_sums_agree_at_every_weight(self):
+        # forgetting depth sends both product sides to (1 - X**2 - X**3)/(1 - X**2)
+        counts = mzv_counts(48)
+        for w in range(3, 49):
+            depths = range(1, w // 3 + 1)
+            assert sum(counts.mzv_count(w, d) for d in depths) == sum(
+                counts.euler_count(w, d) for d in depths
+            ), w
 
     def test_depth_one_counts(self):
         counts = mzv_counts(23)

@@ -116,3 +116,46 @@ class TestFileFormat:
         report = run_all(data)
         assert report.failing_ids() == ["nonsense:claim"]
         assert report.results[0].actual == "unrecognized claim id"
+
+
+class TestClaimKinds:
+    def test_lower_bound_passes_at_or_below_and_fails_above(self, tmp_path):
+        # beta(12, 6) = 15
+        data = tmp_path / "bounds.tsv"
+        data.write_text("table1:m12:u06\tx\tlower_bound\t14\n", encoding="utf-8")
+        assert run_all(data).ok
+        data.write_text("table1:m12:u06\tx\tlower_bound\t15\n", encoding="utf-8")
+        assert run_all(data).ok
+        data.write_text("table1:m12:u06\tx\tlower_bound\t16\n", encoding="utf-8")
+        report = run_all(data)
+        assert report.failing_ids() == ["table1:m12:u06"]
+        assert (report.results[0].expected, report.results[0].actual) == ("16", "15")
+
+
+class TestMalformedPayloads:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "seq:P\tx\tsequence\t1,1,x",
+            "const:r\tx\tdecimal_constant\t1.38027756909761",
+            "table1:m12:u06\tx\texact_value\tfifteen",
+            "table1:m12:u06\tx\tsequence\t15",
+            "seq:P\tx\tlower_bound\t5",
+        ],
+    )
+    def test_an_unparsable_or_mismatched_payload_fails_only_its_claim(self, tmp_path, line):
+        data = tmp_path / "payload.tsv"
+        good = "table1:m12:u06\tx\texact_value\t15"
+        data.write_text(f"{good}\n{line}\n", encoding="utf-8")
+        report = run_all(data)
+        assert report.passed == 1
+        bad = [r for r in report.results if not r.ok]
+        assert len(bad) == 1 and bad[0].claim_id == line.split("\t")[0]
+        assert bad[0].actual.startswith("malformed claim")
+
+    def test_an_unknown_identity_fails_its_claim(self, tmp_path):
+        data = tmp_path / "identity.tsv"
+        data.write_text("identity:no-such-identity\tx\texact_value\t1\n", encoding="utf-8")
+        report = run_all(data)
+        assert report.failing_ids() == ["identity:no-such-identity"]
+        assert report.results[0].actual == "unrecognized claim id"
