@@ -15,7 +15,6 @@ from .series import (
     IndexOutOfRange,
     UniSeries,
     WeightMismatch,
-    ZeroConstantTerm,
 )
 from .generators import (
     BetaTable,
@@ -81,7 +80,6 @@ __all__ = [
     "UnsupportedDiagonal",
     "VerificationReport",
     "WeightMismatch",
-    "ZeroConstantTerm",
     "asymptotic_report",
     "beta_table",
     "build_b",

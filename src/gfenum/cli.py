@@ -23,7 +23,7 @@ from .mzv import (
     CrossCheckError,
     mzv_counts,
 )
-from .series import IndexOutOfRange, WeightMismatch, ZeroConstantTerm
+from .series import IndexOutOfRange, WeightMismatch
 from .transforms import (
     NegativeExponent,
     NonIntegerExponent,
@@ -39,7 +39,6 @@ _INTERNAL_ERRORS = (
     NonIntegerExponent,
     NonUnitConstant,
     WeightMismatch,
-    ZeroConstantTerm,
 )
 
 Cell = int | float | str

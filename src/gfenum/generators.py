@@ -166,7 +166,7 @@ def build_b(max_weight: int) -> BiSeries:
     numerator by each factor in place on the weight-(2, 1) grid.
     """
     rows = _expand_rational(_B_NUMERATOR, _B_DENOMINATOR, 2, 1, max_weight)
-    return BiSeries(2, 1, max_weight, tuple(tuple(r) for r in rows))
+    return BiSeries(2, 1, max_weight, rows)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ def build_mzv_rhs(max_weight: int) -> BiSeries:
     numerator by each factor in place on the grid.
     """
     rows = _expand_rational(_MZV_NUMERATOR, _MZV_DENOMINATOR, 2, 3, max_weight)
-    return BiSeries(2, 3, max_weight, tuple(tuple(r) for r in rows))
+    return BiSeries(2, 3, max_weight, rows)
 
 
 @lru_cache(maxsize=None)
@@ -57,7 +57,7 @@ def build_eul_rhs(max_weight: int) -> BiSeries:
     """The product side of the Euler-sum count generator, 1 - y/(1 - x) = (1 - x - y)/(1 - x)."""
     numerator, factor = {(0, 0): 1, (1, 0): -1, (0, 1): -1}, {(0, 0): 1, (1, 0): -1}
     rows = _expand_rational(numerator, [factor], 2, 3, max_weight)
-    return BiSeries(2, 3, max_weight, tuple(tuple(r) for r in rows))
+    return BiSeries(2, 3, max_weight, rows)
 
 
 @dataclass(frozen=True)
@@ -78,13 +78,8 @@ class MzvCounts:
     euler: Mapping[tuple[int, int], int]
 
     def grid(self) -> list[tuple[int, int]]:
-        """All (w, d) points with d >= 1 and w = 2j + 3d <= max_weight."""
-        points = [
-            (2 * j + 3 * d, d)
-            for d in range(1, self.max_weight // 3 + 1)
-            for j in range((self.max_weight - 3 * d) // 2 + 1)
-        ]
-        return sorted(points)
+        """All (w, d) points with d >= 1 and w = 2j + 3d <= max_weight: the table keys."""
+        return sorted(self.mzv)
 
     def _lookup(self, table: Mapping[tuple[int, int], int], w: int, d: int) -> int:
         if w > self.max_weight:

@@ -1,4 +1,4 @@
-"""Exact truncated power series over the rationals.
+"""Exact truncated power series containers over the rationals.
 
 A univariate series stores dense coefficients up to a declared truncation
 order.  A bivariate series stores the triangle of monomials x**j * y**k
@@ -6,10 +6,14 @@ with j*weight_x + k*weight_y <= max_weight.  Reading outside the stored
 region raises IndexOutOfRange instead of returning zero, so a stale or
 too-short truncation fails loudly rather than producing silent zeros.
 
-Coefficients are Python ints or fractions.Fraction, never floats; every
-operation is exact.  Series values are immutable after construction and
-an operation's result is valid exactly through the minimum truncation of
-its inputs.
+Coefficients are Python ints or fractions.Fraction, never floats, and are
+stored as given.  Series values are immutable after construction.  The
+containers add, subtract, truncate, substitute and slice; a sum is valid
+exactly through the minimum truncation of its operands.  They have no
+product, inverse or quotient: the library expands every series with the
+division kernel in `generators` and the Euler-transform pair in
+`transforms`, and the dense products that check those kernels are test
+oracles.
 """
 
 from __future__ import annotations
@@ -21,28 +25,12 @@ from typing import Iterable, Iterator, Mapping
 Coeff = int | Fraction
 
 
-class ZeroConstantTerm(ZeroDivisionError):
-    """Series inversion requires a nonzero constant term."""
-
-
 class WeightMismatch(ValueError):
     """Bivariate operands carry incompatible variable weights."""
 
 
 class IndexOutOfRange(IndexError):
     """Coefficient requested outside the declared truncation region."""
-
-
-def _norm(value: Coeff) -> Coeff:
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    return value
-
-
-def _reciprocal(value: Coeff) -> Coeff:
-    if value == 0:
-        raise ZeroConstantTerm("constant term is zero, series is not invertible")
-    return _norm(Fraction(1) / Fraction(value))
 
 
 @dataclass(frozen=True)
@@ -57,7 +45,7 @@ class UniSeries:
             raise ValueError("truncation order must be >= 0")
         if len(self.coeffs) != self.trunc_order + 1:
             raise ValueError("need exactly trunc_order + 1 coefficients")
-        object.__setattr__(self, "coeffs", tuple(_norm(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[Coeff], trunc_order: int | None = None) -> UniSeries:
@@ -118,42 +106,6 @@ class UniSeries:
     def __sub__(self, other: UniSeries) -> UniSeries:
         return self + (-other)
 
-    def __mul__(self, other: UniSeries | Coeff) -> UniSeries:
-        if isinstance(other, (int, Fraction)):
-            return UniSeries(self.trunc_order, tuple(c * other for c in self.coeffs))
-        n = min(self.trunc_order, other.trunc_order)
-        out: list[Coeff] = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return UniSeries(n, tuple(out))
-
-    def __rmul__(self, other: Coeff) -> UniSeries:
-        return self * other
-
-    def inverse(self) -> UniSeries:
-        """Multiplicative inverse through the truncation order.
-
-        Raises ZeroConstantTerm when the constant term vanishes.
-        """
-        inv0 = _reciprocal(self.coeffs[0])
-        out: list[Coeff] = [inv0] + [0] * self.trunc_order
-        for n in range(1, self.trunc_order + 1):
-            acc: Coeff = 0
-            for k in range(1, n + 1):
-                a = self.coeffs[k]
-                if a != 0:
-                    acc += a * out[n - k]
-            out[n] = _norm(-inv0 * acc)
-        return UniSeries(self.trunc_order, tuple(out))
-
-    def __truediv__(self, other: UniSeries) -> UniSeries:
-        return self * other.inverse()
-
 
 def _row_length(weight_x: int, weight_y: int, max_weight: int, j: int) -> int:
     return (max_weight - j * weight_x) // weight_y + 1
@@ -165,6 +117,7 @@ class BiSeries:
 
     The coefficient of x**j * y**k is stored iff
     j*weight_x + k*weight_y <= max_weight; ``coeffs[j][k]`` indexes it.
+    Rows may be given as lists; construction stores them as tuples.
     """
 
     weight_x: int
@@ -180,13 +133,12 @@ class BiSeries:
         jmax = self.max_weight // self.weight_x
         if len(self.coeffs) != jmax + 1:
             raise ValueError("row count does not match the weight bound")
-        rows = []
-        for j, row in enumerate(self.coeffs):
+        rows = tuple(tuple(row) for row in self.coeffs)
+        for j, row in enumerate(rows):
             width = _row_length(self.weight_x, self.weight_y, self.max_weight, j)
             if len(row) != width:
                 raise ValueError(f"row {j} must hold exactly {width} coefficients")
-            rows.append(tuple(_norm(c) for c in row))
-        object.__setattr__(self, "coeffs", tuple(rows))
+        object.__setattr__(self, "coeffs", rows)
 
     @classmethod
     def from_terms(
@@ -203,7 +155,7 @@ class BiSeries:
                 raise ValueError("negative exponents are not representable")
             if j * weight_x + k * weight_y <= max_weight:
                 rows[j][k] = coeff
-        return cls(weight_x, weight_y, max_weight, tuple(tuple(r) for r in rows))
+        return cls(weight_x, weight_y, max_weight, rows)
 
     @classmethod
     def one(cls, weight_x: int, weight_y: int, max_weight: int) -> BiSeries:
@@ -269,52 +221,6 @@ class BiSeries:
 
     def __sub__(self, other: BiSeries) -> BiSeries:
         return self + (-other)
-
-    def __mul__(self, other: BiSeries | Coeff) -> BiSeries:
-        if isinstance(other, (int, Fraction)):
-            rows = tuple(tuple(c * other for c in row) for row in self.coeffs)
-            return BiSeries(self.weight_x, self.weight_y, self.max_weight, rows)
-        self._check_weights(other)
-        wx, wy = self.weight_x, self.weight_y
-        w = min(self.max_weight, other.max_weight)
-        rows = _zero_rows(wx, wy, w)
-        for j1, k1, c1 in self.nonzero_terms():
-            w1 = j1 * wx + k1 * wy
-            if w1 > w:
-                continue
-            budget = w - w1
-            for j2, k2, c2 in other.nonzero_terms():
-                if j2 * wx + k2 * wy <= budget:
-                    rows[j1 + j2][k1 + k2] += c1 * c2
-        return BiSeries(wx, wy, w, tuple(tuple(r) for r in rows))
-
-    def __rmul__(self, other: Coeff) -> BiSeries:
-        return self * other
-
-    def inverse(self) -> BiSeries:
-        """Multiplicative inverse on the weighted triangle."""
-        inv0 = _reciprocal(self.coeffs[0][0])
-        wx, wy, w = self.weight_x, self.weight_y, self.max_weight
-        out = _zero_rows(wx, wy, w)
-        out[0][0] = inv0
-        for j in range(len(out)):
-            for k in range(len(out[j])):
-                if j == 0 and k == 0:
-                    continue
-                acc: Coeff = 0
-                for j1 in range(min(j, self.j_limit) + 1):
-                    row = self.coeffs[j1]
-                    for k1 in range(min(k, len(row) - 1) + 1):
-                        if j1 == 0 and k1 == 0:
-                            continue
-                        a = row[k1]
-                        if a != 0:
-                            acc += a * out[j - j1][k - k1]
-                out[j][k] = _norm(-inv0 * acc)
-        return BiSeries(wx, wy, w, tuple(tuple(r) for r in out))
-
-    def __truediv__(self, other: BiSeries) -> BiSeries:
-        return self * other.inverse()
 
     def substitute_x(self) -> UniSeries:
         """Evaluate at x = y**2, valid for weights (2, 1) only.

@@ -166,7 +166,7 @@ def expand_exponents_bi(
     sign = _sign(form)
     signed = {jd: sign * e for jd, e in exponents.items()}
     rows = _euler(signed, weight_x, weight_y, max_weight)
-    return BiSeries(weight_x, weight_y, max_weight, tuple(tuple(r) for r in rows))
+    return BiSeries(weight_x, weight_y, max_weight, rows)
 
 
 def peel_uni(series: UniSeries, form: str) -> dict[int, int]:

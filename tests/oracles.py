@@ -1,10 +1,102 @@
 """Test-only oracles that never call the library's transform or division kernels.
 
-The generator assemblies below use only the dense series products and
-inverses, so they are an independent reference for the division kernel.
+The dense series algebra lives here, not in the library: schoolbook
+products (`uni_mul`, `bi_mul`) and term-by-term inverses (`uni_inverse`,
+`bi_inverse`) over the `UniSeries` and `BiSeries` containers.  The
+generator assemblies below use only these, so they are an independent
+reference for the division kernel; the multiset count uses no series at all.
 """
 
-from gfenum.series import BiSeries, UniSeries
+from fractions import Fraction
+
+from gfenum.series import BiSeries, UniSeries, _zero_rows
+
+
+class ZeroConstantTerm(ZeroDivisionError):
+    """Series inversion requires a nonzero constant term."""
+
+
+def _norm(value):
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return int(value)
+    return value
+
+
+def _reciprocal(value):
+    if value == 0:
+        raise ZeroConstantTerm("constant term is zero, series is not invertible")
+    return _norm(Fraction(1) / Fraction(value))
+
+
+def uni_mul(a, b):
+    """The product of two univariate series, through the smaller truncation."""
+    n = min(a.trunc_order, b.trunc_order)
+    out = [0] * (n + 1)
+    for i, x in enumerate(a.coeffs[: n + 1]):
+        if x == 0:
+            continue
+        for j in range(n + 1 - i):
+            y = b.coeffs[j]
+            if y != 0:
+                out[i + j] += x * y
+    return UniSeries(n, tuple(out))
+
+
+def uni_inverse(a):
+    """Multiplicative inverse through the truncation order.
+
+    Raises ZeroConstantTerm when the constant term vanishes.
+    """
+    inv0 = _reciprocal(a.coeffs[0])
+    out = [inv0] + [0] * a.trunc_order
+    for n in range(1, a.trunc_order + 1):
+        acc = 0
+        for k in range(1, n + 1):
+            x = a.coeffs[k]
+            if x != 0:
+                acc += x * out[n - k]
+        out[n] = _norm(-inv0 * acc)
+    return UniSeries(a.trunc_order, tuple(out))
+
+
+def bi_mul(a, b):
+    """The product of two bivariate series, through the smaller weight bound."""
+    a._check_weights(b)
+    wx, wy = a.weight_x, a.weight_y
+    w = min(a.max_weight, b.max_weight)
+    rows = _zero_rows(wx, wy, w)
+    for j1, k1, c1 in a.nonzero_terms():
+        w1 = j1 * wx + k1 * wy
+        if w1 > w:
+            continue
+        budget = w - w1
+        for j2, k2, c2 in b.nonzero_terms():
+            if j2 * wx + k2 * wy <= budget:
+                rows[j1 + j2][k1 + k2] += c1 * c2
+    return BiSeries(wx, wy, w, tuple(tuple(r) for r in rows))
+
+
+def bi_inverse(a):
+    """Multiplicative inverse on the weighted triangle."""
+    inv0 = _reciprocal(a.coeffs[0][0])
+    wx, wy, w = a.weight_x, a.weight_y, a.max_weight
+    out = _zero_rows(wx, wy, w)
+    out[0][0] = inv0
+    for j in range(len(out)):
+        for k in range(len(out[j])):
+            if j == 0 and k == 0:
+                continue
+            acc = 0
+            for j1 in range(min(j, a.j_limit) + 1):
+                row = a.coeffs[j1]
+                for k1 in range(min(k, len(row) - 1) + 1):
+                    if j1 == 0 and k1 == 0:
+                        continue
+                    x = row[k1]
+                    if x != 0:
+                        acc += x * out[j - j1][k - k1]
+            out[j][k] = _norm(-inv0 * acc)
+    return BiSeries(wx, wy, w, tuple(tuple(r) for r in out))
 
 
 def multiset_oracle(exponents, min_degree, target):
@@ -58,20 +150,23 @@ def build_b_dense(max_weight):
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
     w = max_weight
-    base = (
-        UniSeries.from_terms(w, _one_minus(1))
-        * UniSeries.from_terms(w, _one_minus(2))
-        * UniSeries.from_terms(w, _one_minus(3))
-    ).inverse()
-    b2 = base * UniSeries.from_terms(w, {0: 1, 1: 1})
-    b3 = base * UniSeries.from_terms(w, _one_minus(3))
+    base = uni_inverse(
+        uni_mul(
+            uni_mul(UniSeries.from_terms(w, _one_minus(1)), UniSeries.from_terms(w, _one_minus(2))),
+            UniSeries.from_terms(w, _one_minus(3)),
+        )
+    )
+    b2 = uni_mul(base, UniSeries.from_terms(w, {0: 1, 1: 1}))
+    b3 = uni_mul(base, UniSeries.from_terms(w, _one_minus(3)))
     b4 = base - UniSeries.one(w)
 
-    inv_x3 = BiSeries.from_terms(2, 1, w, {(0, 0): 1, (3, 0): -1}).inverse()
-    part1 = (_embed(base, 0, 4, w) + _embed(base, 1, 3, w) + _embed(b2, 2, 2, w)) * inv_x3
+    inv_x3 = bi_inverse(BiSeries.from_terms(2, 1, w, {(0, 0): 1, (3, 0): -1}))
+    part1 = bi_mul(_embed(base, 0, 4, w) + _embed(base, 1, 3, w) + _embed(b2, 2, 2, w), inv_x3)
 
     coupling = BiSeries.from_terms(2, 1, w, {(0, 0): 1, (0, 1): -1, (2, 0): -1})
-    part2 = (_embed(b3, 3, 1, w) + _embed(b4, 4, 0, w)) * inv_x3 * coupling.inverse()
+    part2 = bi_mul(
+        bi_mul(_embed(b3, 3, 1, w) + _embed(b4, 4, 0, w), inv_x3), bi_inverse(coupling)
+    )
     return part1 + part2
 
 
@@ -80,11 +175,12 @@ def build_mzv_rhs_dense(max_weight):
     w = max_weight
     one = BiSeries.one(2, 3, w)
     y = BiSeries.from_terms(2, 3, w, {(0, 1): 1})
-    inv_1mx = BiSeries.from_terms(2, 3, w, {(0, 0): 1, (1, 0): -1}).inverse()
-    inv_1mx2 = BiSeries.from_terms(2, 3, w, {(0, 0): 1, (2, 0): -1}).inverse()
-    inv_1mx3 = BiSeries.from_terms(2, 3, w, {(0, 0): 1, (3, 0): -1}).inverse()
+    inv_1mx = bi_inverse(BiSeries.from_terms(2, 3, w, {(0, 0): 1, (1, 0): -1}))
+    inv_1mx2 = bi_inverse(BiSeries.from_terms(2, 3, w, {(0, 0): 1, (2, 0): -1}))
+    inv_1mx3 = bi_inverse(BiSeries.from_terms(2, 3, w, {(0, 0): 1, (3, 0): -1}))
     y2_minus_x3 = BiSeries.from_terms(2, 3, w, {(0, 2): 1, (3, 0): -1})
-    return one - y * inv_1mx - y * y * inv_1mx2 * y2_minus_x3 * inv_1mx3
+    tail = bi_mul(bi_mul(bi_mul(bi_mul(y, y), inv_1mx2), y2_minus_x3), inv_1mx3)
+    return one - bi_mul(y, inv_1mx) - tail
 
 
 def build_eul_rhs_dense(max_weight):
@@ -92,5 +188,5 @@ def build_eul_rhs_dense(max_weight):
     w = max_weight
     one = BiSeries.one(2, 3, w)
     y = BiSeries.from_terms(2, 3, w, {(0, 1): 1})
-    inv_1mx = BiSeries.from_terms(2, 3, w, {(0, 0): 1, (1, 0): -1}).inverse()
-    return one - y * inv_1mx
+    inv_1mx = bi_inverse(BiSeries.from_terms(2, 3, w, {(0, 0): 1, (1, 0): -1}))
+    return one - bi_mul(y, inv_1mx)

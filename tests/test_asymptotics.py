@@ -9,6 +9,7 @@ from gfenum.generators import p_closed_form, primitive_counts
 from gfenum.series import UniSeries
 
 from literals import GROWTH_CONSTANT, GROWTH_ROOT
+from oracles import uni_inverse, uni_mul
 
 
 class TestGrowthRoot:
@@ -40,7 +41,7 @@ class TestGrowthConstant:
         for n in (40, 200):
             oracle = UniSeries.from_terms(n, dict(gf.numerator))
             for factor in gf.denominator_factors:
-                oracle = oracle * UniSeries.from_terms(n, dict(factor)).inverse()
+                oracle = uni_mul(oracle, uni_inverse(UniSeries.from_terms(n, dict(factor))))
             assert gf.expand(n) == oracle
 
 

@@ -69,6 +69,17 @@ class TestCounts:
                            if counts.mzv_count(w, d) != counts.euler_count(w, d))
         assert differing[0] == 12
 
+    @pytest.mark.parametrize("weight", [3, 8, 23, 60])
+    def test_grid_is_the_weight_depth_triangle(self, weight):
+        explicit = sorted(
+            (2 * j + 3 * d, d)
+            for d in range(1, weight // 3 + 1)
+            for j in range((weight - 3 * d) // 2 + 1)
+        )
+        counts = mzv_counts(weight)
+        assert counts.grid() == explicit
+        assert sorted(counts.euler) == explicit
+
     def test_depth_sums_agree_at_every_weight(self):
         # forgetting depth sends both product sides to (1 - X**2 - X**3)/(1 - X**2)
         counts = mzv_counts(48)
