@@ -82,9 +82,12 @@ def _scaled_floats(coeffs: tuple[int, ...], scale: float) -> list[float]:
     return out
 
 
-def growth_constant_from_series(
-    terms: int = 14000, max_offset: float = 0.08, node_ratio: float = 0.65, nodes: int = 10
-) -> float:
+_MAX_OFFSET = 0.08
+_NODE_RATIO = 0.65
+_NODES = 10
+
+
+def growth_constant_from_series(terms: int = 14000) -> float:
     """The same limit, from exact partial sums extrapolated toward the pole.
 
     Evaluates (1 - r*y) times the degree-``terms`` partial sum at
@@ -98,7 +101,7 @@ def growth_constant_from_series(
     r = growth_root()
     scale = 0.70  # any value below 1/r keeps the rescaled sweep bounded
     coeffs = _scaled_floats(p_closed_form().expand(terms).coeffs, scale)
-    offsets = [max_offset * node_ratio ** i for i in range(nodes)]
+    offsets = [_MAX_OFFSET * _NODE_RATIO ** i for i in range(_NODES)]
     values = []
     for t in offsets:
         y = 1.0 / r - t
@@ -108,8 +111,8 @@ def growth_constant_from_series(
             acc = acc * growth + c
         values.append((1.0 - r * y) * acc)
     table = list(values)
-    for level in range(1, nodes):
-        for i in range(nodes - level):
+    for level in range(1, _NODES):
+        for i in range(_NODES - level):
             t_lo, t_hi = offsets[i], offsets[i + level]
             table[i] = (t_lo * table[i + 1] - t_hi * table[i]) / (t_lo - t_hi)
     return table[0]

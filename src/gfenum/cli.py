@@ -3,8 +3,8 @@
 Each subcommand renders one table, as TSV (default) or JSON, to stdout or
 to ``--output PATH``.  Output is byte-identical across runs for identical
 arguments.  Exit codes: 0 success, 1 verification failures (``verify``
-only), 2 usage error (including an unreadable or malformed reference file
-and an unwritable ``--output``), 3 internal consistency error.
+only), 2 usage error (a size below its minimum, an unreadable or malformed
+reference file, an unwritable ``--output``), 3 internal consistency error.
 """
 
 from __future__ import annotations
@@ -13,16 +13,11 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import __version__
 from .asymptotics import asymptotic_report
 from .generators import beta_table, primitive_counts
-from .mzv import (
-    DEPTH_DIAGONAL_CHECKED_MAX,
-    CrossCheckError,
-    mzv_counts,
-)
+from .mzv import DEPTH_DIAGONAL_CHECKED_MAX, CrossCheckError, mzv_counts
 from .series import IndexOutOfRange, WeightMismatch
 from .transforms import (
     NegativeExponent,
@@ -68,7 +63,7 @@ def _render_cell(cell: Cell) -> str:
     # ints render as plain decimal strings, never scientific notation
     if isinstance(cell, bool):
         raise TypeError("boolean cells are not part of the table format")
-    if isinstance(cell, (int, Fraction)):
+    if isinstance(cell, int):
         return str(cell)
     if isinstance(cell, float):
         return repr(cell)
@@ -145,6 +140,17 @@ def _verify_handler(args) -> tuple[OutputTable, list[str], int]:
     )
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer size no smaller than ``minimum``."""
+
+    def size(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}")
+        return int(text)
+
+    return size
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -159,39 +165,28 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("beta", parents=[common], help="bigraded dimension grid")
-    p.add_argument("--max-degree", type=int, default=20)
+    p.add_argument("--max-degree", type=_at_least(0), default=20)
 
     p = sub.add_parser("primitives", parents=[common], help="primitive counts P_m")
-    p.add_argument("--max-degree", type=int, default=20)
+    p.add_argument("--max-degree", type=_at_least(1), default=20)
 
     p = sub.add_parser("knots", parents=[common], help="knot invariant counts V_m")
-    p.add_argument("--max-degree", type=int, default=20)
+    p.add_argument("--max-degree", type=_at_least(1), default=20)
 
     p = sub.add_parser("framed", parents=[common], help="framed-knot invariant counts F_m")
-    p.add_argument("--max-degree", type=int, default=20)
+    p.add_argument("--max-degree", type=_at_least(1), default=20)
 
     p = sub.add_parser("mzv", parents=[common], help="irreducible counts by weight and depth")
-    p.add_argument("--max-weight", type=int, default=23)
+    p.add_argument("--max-weight", type=_at_least(3), default=23)
     p.add_argument("--euler-sums", action="store_true", help="tabulate Euler-sum counts")
 
     p = sub.add_parser("asymptote", parents=[common], help="growth root, limit constant, ratios")
-    p.add_argument("--max-degree", type=int, default=40)
+    p.add_argument("--max-degree", type=_at_least(2), default=40)
 
     p = sub.add_parser("verify", parents=[common], help="replay the reference data")
     p.add_argument("--data", default=None, help="override the reference data file")
 
     return parser
-
-
-def _validate(args, parser: argparse.ArgumentParser) -> None:
-    if args.command == "beta" and args.max_degree < 0:
-        parser.error("beta: --max-degree must be >= 0")
-    if args.command in ("primitives", "knots", "framed") and args.max_degree < 1:
-        parser.error(f"{args.command}: --max-degree must be >= 1")
-    if args.command == "mzv" and args.max_weight < 3:
-        parser.error("mzv: --max-weight must be >= 3")
-    if args.command == "asymptote" and args.max_degree < 2:
-        parser.error("asymptote: --max-degree must be >= 2")
 
 
 _HANDLERS = {
@@ -209,7 +204,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _validate(args, parser)
     except SystemExit as exc:
         code = exc.code
         return 0 if code in (None, 0) else int(code)

@@ -96,6 +96,10 @@ def _euler(
     exponents: Mapping[Monomial, int], weight_x: int, weight_y: int, max_weight: int
 ) -> list[list[Coeff]]:
     """Coefficient rows of prod_n (1 - x**j * y**d)**(-e_n), n = (j, d)."""
+    if weight_x < 1 or weight_y < 1 or max_weight < 0:
+        raise ValueError(
+            f"grid needs weights >= 1 and a bound >= 0, got ({weight_x}, {weight_y}, {max_weight})"
+        )
     c = _zero_rows(weight_x, weight_y, max_weight)
     for (j, d), e in exponents.items():
         if j < 0 or d < 0 or j == d == 0:

@@ -11,8 +11,12 @@ it can be audited independently of the code.  Claim kinds:
   decimal_constant  payload is ``value,tolerance``, compared within tolerance
 
 Claim ids are structured (``table1:m05:u02``, ``seq:P``, ``tally:m16``,
-``mzv:D:w23:d07``, ``const:r``, ``identity:...``) and the evaluator
-dispatches on them.  Failures become report entries, never exceptions.
+``mzv:D:w23:d07``, ``const:r``, ``identity:...``).  One ordered table maps
+each id pattern to an evaluator over the library's cached tables, which
+reach degree 20 and weight 36 (the engine horizon).  Failures become
+report entries, never exceptions: an unknown id or identity name, a
+payload that does not parse or fit its claim, and a claim past the
+horizon each fail only their own claim.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from importlib.resources import files
 from pathlib import Path
 
@@ -34,7 +37,8 @@ from .generators import (
     p_from_b,
     primitive_counts,
 )
-from .mzv import build_mzv_rhs, mzv_counts
+from .mzv import DEPTH_DIAGONAL_CHECKED_MAX, build_mzv_rhs, mzv_counts
+from .series import IndexOutOfRange
 from .transforms import euler_expand
 
 KINDS = ("exact_value", "lower_bound", "saturated_bound", "sequence", "decimal_constant")
@@ -119,42 +123,62 @@ def load_reference(path) -> list[ReferenceEntry]:
     return entries
 
 
-class _Engine:
-    """Lazily computed quantities shared by all claims in one run."""
+def _invariants(min_degree: int) -> list[int]:
+    """V_m (min_degree 2) or F_m (min_degree 1) for m = 1 .. _MAX_DEGREE, from P_m."""
+    exponents = {m + 1: p for m, p in enumerate(primitive_counts(_MAX_DEGREE))}
+    return list(euler_expand(exponents, min_degree, _MAX_DEGREE).coeffs[1:])
 
-    @cached_property
-    def beta(self):
-        return beta_table(_MAX_DEGREE)
 
-    @cached_property
-    def primitives(self) -> list[int]:
-        return primitive_counts(_MAX_DEGREE)
+def _beta(m: int, u: int) -> int:
+    return beta_table(_MAX_DEGREE).get(m, u)
 
-    @cached_property
-    def _exponents(self) -> dict[int, int]:
-        return {m + 1: p for m, p in enumerate(self.primitives)}
 
-    @cached_property
-    def knots(self) -> list[int]:
-        v = euler_expand(self._exponents, 2, _MAX_DEGREE)
-        return [v[m] for m in range(1, _MAX_DEGREE + 1)]
+def _zeta(w: int, d: int) -> int:
+    return mzv_counts(_MZV_WEIGHT).mzv_count(w, d)
 
-    @cached_property
-    def framed(self) -> list[int]:
-        f = euler_expand(self._exponents, 1, _MAX_DEGREE)
-        return [f[m] for m in range(1, _MAX_DEGREE + 1)]
 
-    @cached_property
-    def counts(self):
-        return mzv_counts(_MZV_WEIGHT)
+def _framed_minus_knots() -> bool:
+    v, f = _invariants(2), _invariants(1)
+    return all(v[m] == f[m] - f[m - 1] for m in range(1, _MAX_DEGREE))
 
-    @cached_property
-    def root(self) -> float:
-        return growth_root()
 
-    @cached_property
-    def constant(self) -> float:
-        return growth_constant()
+# Identity name -> predicate over the engine's tables
+_IDENTITIES = {
+    "dual-route-primitives": lambda: p_from_b(_DUAL_ROUTE_DEGREE) == p_closed(_DUAL_ROUTE_DEGREE),
+    "framed-minus-knots": _framed_minus_knots,
+    "col0-col2-shift": lambda: all(_beta(m, 0) == _beta(m + 1, 2) for m in range(2, _MAX_DEGREE)),
+    "floor-diag1": lambda: all(
+        _beta(2 * j + 1, 2 * j) == floor_formula_diag1(j)
+        for j in range((_MAX_DEGREE - 1) // 2 + 1)
+    ),
+    "floor-diag2": lambda: all(
+        _beta(2 * j + 2, 2 * j) == floor_formula_diag2(j)
+        for j in range((_MAX_DEGREE - 2) // 2 + 1)
+    ),
+    "floor-col0": lambda: all(
+        _beta(m, 0) == floor_formula_col0(m) for m in range(_MAX_DEGREE + 1)
+    ),
+}
+
+# Claim-id pattern -> evaluator of the engine's value (an int, a list of ints
+# or a float), called with the pattern's groups; the first full match wins.
+# Each evaluator looks the library's cached entry points up when it runs.
+_CLAIMS = (
+    (r"table1:m(\d+):u(\d+)", lambda m, u: _beta(int(m), int(u))),
+    (r"seq:P", lambda: primitive_counts(_MAX_DEGREE)),
+    (r"seq:V", lambda: _invariants(2)),
+    (r"seq:F", lambda: _invariants(1)),
+    (r"tally:m(\d+)", lambda m: beta_table(_MAX_DEGREE).tally_terms(int(m))),
+    (r"mzv:D:w(\d+):d(\d+)", lambda w, d: _zeta(int(w), int(d))),
+    (r"mzv:M:w(\d+):d(\d+)", lambda w, d: mzv_counts(_MZV_WEIGHT).euler_count(int(w), int(d))),
+    (r"mzv:depth1", lambda: [_zeta(w, 1) for w in range(3, 22, 2)]),
+    (r"mzv:depth2", lambda: [_zeta(8 + 2 * j, 2) for j in range((_MZV_WEIGHT - 8) // 2 + 1)]),
+    (r"mzv:d3d", lambda: [_zeta(3 * d, d) for d in range(1, 8)]),
+    (r"mzv:x0slice", lambda: list(build_mzv_rhs(_MZV_WEIGHT).slice_x(0).coeffs)),
+    (r"const:r", lambda: growth_root()),
+    (r"const:C", lambda: growth_constant()),
+    (rf"identity:({'|'.join(_IDENTITIES)})", lambda name: int(_IDENTITIES[name]())),
+)
 
 
 def _parse_ints(payload: str) -> list[int]:
@@ -171,87 +195,18 @@ def _sequence_result(claim_id: str, expected: list[int], actual: list[int]) -> C
     )
 
 
-def _identity_holds(name: str, eng: _Engine) -> int | None:
-    if name == "dual-route-primitives":
-        return int(p_from_b(_DUAL_ROUTE_DEGREE) == p_closed(_DUAL_ROUTE_DEGREE))
-    if name == "framed-minus-knots":
-        v, f = eng.knots, eng.framed
-        return int(all(v[m] == f[m] - f[m - 1] for m in range(1, _MAX_DEGREE)))
-    if name == "col0-col2-shift":
-        return int(
-            all(eng.beta.get(m, 0) == eng.beta.get(m + 1, 2) for m in range(2, _MAX_DEGREE))
-        )
-    if name == "floor-diag1":
-        return int(
-            all(
-                eng.beta.get(2 * j + 1, 2 * j) == floor_formula_diag1(j)
-                for j in range((_MAX_DEGREE - 1) // 2 + 1)
-            )
-        )
-    if name == "floor-diag2":
-        return int(
-            all(
-                eng.beta.get(2 * j + 2, 2 * j) == floor_formula_diag2(j)
-                for j in range((_MAX_DEGREE - 2) // 2 + 1)
-            )
-        )
-    if name == "floor-col0":
-        return int(
-            all(eng.beta.get(m, 0) == floor_formula_col0(m) for m in range(_MAX_DEGREE + 1))
-        )
-    return None
-
-
-def _compute_actual(entry: ReferenceEntry, eng: _Engine):
-    """Return the engine's value for a claim: an int, a list of ints, or a float."""
-    cid = entry.claim_id
-
-    m = re.fullmatch(r"table1:m(\d+):u(\d+)", cid)
-    if m:
-        return eng.beta.get(int(m.group(1)), int(m.group(2)))
-
-    if cid == "seq:P":
-        return eng.primitives
-    if cid == "seq:V":
-        return eng.knots
-    if cid == "seq:F":
-        return eng.framed
-
-    m = re.fullmatch(r"tally:m(\d+)", cid)
-    if m:
-        return eng.beta.tally_terms(int(m.group(1)))
-
-    m = re.fullmatch(r"mzv:([DM]):w(\d+):d(\d+)", cid)
-    if m:
-        table = eng.counts.mzv_count if m.group(1) == "D" else eng.counts.euler_count
-        return table(int(m.group(2)), int(m.group(3)))
-
-    if cid == "mzv:depth1":
-        return [eng.counts.mzv_count(w, 1) for w in range(3, 22, 2)]
-    if cid == "mzv:depth2":
-        return [eng.counts.mzv_count(8 + 2 * j, 2) for j in range((_MZV_WEIGHT - 8) // 2 + 1)]
-    if cid == "mzv:d3d":
-        return [eng.counts.mzv_count(3 * d, d) for d in range(1, 8)]
-    if cid == "mzv:x0slice":
-        slice_y = build_mzv_rhs(_MZV_WEIGHT).slice_x(0)
-        return [slice_y[k] for k in range(slice_y.trunc_order + 1)]
-
-    if cid == "const:r":
-        return eng.root
-    if cid == "const:C":
-        return eng.constant
-
-    m = re.fullmatch(r"identity:([a-z0-9-]+)", cid)
-    if m:
-        return _identity_holds(m.group(1), eng)
-
-    return None
-
-
-def _evaluate(entry: ReferenceEntry, eng: _Engine) -> ClaimResult:
-    actual = _compute_actual(entry, eng)
-    if actual is None:
+def _evaluate(entry: ReferenceEntry) -> ClaimResult:
+    for pattern, evaluator in _CLAIMS:
+        match = re.fullmatch(pattern, entry.claim_id)
+        if match:
+            break
+    else:
         return ClaimResult(entry.claim_id, False, entry.payload, "unrecognized claim id")
+    try:
+        actual = evaluator(*match.groups())
+    except IndexOutOfRange as exc:  # a claim past the tables computed here
+        actual_text = f"outside the engine horizon: {exc}"
+        return ClaimResult(entry.claim_id, False, entry.payload, actual_text)
 
     try:  # a payload that does not parse, or does not fit the claim's value, fails it
         if entry.kind == "sequence":
@@ -277,14 +232,14 @@ _PREDICTION_NOTE = (
     "predictions with no independent check: beta(15,10)=28, beta(16,12)=28, beta(19,16)=25"
 )
 _EXTENSION_NOTE = (
-    "depth-diagonal counts at depth > 7 extend the generator beyond its checked range"
+    f"depth-diagonal counts at depth > {DEPTH_DIAGONAL_CHECKED_MAX}"
+    " extend the generator beyond its checked range"
 )
 
 
 def run_all(data_path: str | os.PathLike | None = None) -> VerificationReport:
     """Evaluate every reference claim; the report is ordered by claim id."""
     entries = load_reference(resolve_data_path(data_path))
-    eng = _Engine()
-    results = [_evaluate(entry, eng) for entry in entries]
+    results = [_evaluate(entry) for entry in entries]
     results.sort(key=lambda r: r.claim_id)
     return VerificationReport(results, notes=[_PREDICTION_NOTE, _EXTENSION_NOTE])

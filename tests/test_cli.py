@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import gfenum.cli as cli
 from gfenum.transforms import NonIntegerExponent
 
@@ -109,6 +111,24 @@ class TestExitCodes:
         assert code == 2
         assert "must be >= 1" in err
 
+    @pytest.mark.parametrize(
+        "command, flag, minimum",
+        [
+            ("beta", "--max-degree", 0),
+            ("primitives", "--max-degree", 1),
+            ("knots", "--max-degree", 1),
+            ("framed", "--max-degree", 1),
+            ("mzv", "--max-weight", 3),
+            ("asymptote", "--max-degree", 2),
+        ],
+    )
+    def test_the_parser_enforces_each_minimum_size(self, capsys, command, flag, minimum):
+        code, out, err = run_cli(capsys, command, flag, str(minimum - 1))
+        assert code == 2 and out == ""
+        expected = f"gfenum {command}: error: argument {flag}: must be >= {minimum}"
+        assert err.splitlines()[-1] == expected
+        assert run_cli(capsys, command, flag, str(minimum))[0] == 0
+
     def test_unknown_argument(self, capsys):
         code, _, _ = run_cli(capsys, "beta", "--nope")
         assert code == 2
@@ -134,6 +154,15 @@ class TestExitCodes:
         assert code == 1
         failing = [line for line in out.splitlines() if "\tfail\t" in line]
         assert len(failing) == 1 and failing[0].startswith("const:r")
+
+    def test_a_claim_past_the_engine_horizon_fails_verify(self, capsys, tmp_path):
+        data = tmp_path / "horizon.tsv"
+        data.write_text("table1:m30:u02\tx\texact_value\t1\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "verify", "--data", str(data))
+        assert code == 1
+        row = out.splitlines()[1].split("\t")
+        assert row[:3] == ["table1:m30:u02", "fail", "1"]
+        assert row[3].startswith("outside the engine horizon")
 
     def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path):
         target = tmp_path / "no-such-dir" / "x.tsv"

@@ -94,6 +94,13 @@ class TestCounts:
         assert [counts.mzv_count(w, 1) for w in range(3, 22, 2)] == [1] * 10
         assert [counts.euler_count(w, 1) for w in range(3, 22, 2)] == [1] * 10
 
+    @pytest.mark.parametrize("weight", [0, 1, 2])
+    def test_weights_below_three_give_empty_tables(self, weight):
+        # no count lives below weight 3, so the depth-1 cross-check has nothing to read
+        counts = mzv_counts(weight)
+        assert counts.grid() == [] and dict(counts.mzv) == dict(counts.euler) == {}
+        assert counts.mzv_count(weight, 1) == 0
+
     def test_off_grid_lookups(self):
         counts = mzv_counts(23)
         assert counts.mzv_count(10, 3) == 0  # parity excludes (10, 3)

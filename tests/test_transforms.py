@@ -110,6 +110,23 @@ class TestOutOfGradingKeys:
             expand_exponents_bi({key: 1}, 2, 3, 12, PRODUCT_PLAIN)
 
 
+class TestGridValidation:
+    def test_negative_truncation_order_rejected(self):
+        with pytest.raises(ValueError, match="grid"):
+            euler_expand({1: 1}, 1, -1)
+        with pytest.raises(ValueError, match="grid"):
+            expand_exponents_uni({1: 1}, -1, PRODUCT_PLAIN)
+
+    def test_negative_weight_bound_rejected(self):
+        with pytest.raises(ValueError, match="grid"):
+            expand_exponents_bi({(0, 1): 1}, 2, 3, -1, PRODUCT_PLAIN)
+
+    @pytest.mark.parametrize("weights", [(0, 3), (2, 0)])
+    def test_zero_weight_rejected(self, weights):
+        with pytest.raises(ValueError, match="grid"):
+            expand_exponents_bi({(1, 1): 1}, *weights, 12, PRODUCT_PLAIN)
+
+
 class TestPeelUni:
     def test_quadrinacci_depth_diagonal(self):
         generator = uni_inverse(UniSeries.from_terms(12, {0: 1, 1: -1, 4: -1}))

@@ -153,6 +153,24 @@ class TestMalformedPayloads:
         assert len(bad) == 1 and bad[0].claim_id == line.split("\t")[0]
         assert bad[0].actual.startswith("malformed claim")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "table1:m30:u02\tx\texact_value\t1",
+            "table1:m05:u07\tx\texact_value\t0",
+            "tally:m25\tx\tsequence\t1,2",
+            "mzv:D:w40:d01\tx\texact_value\t1",
+        ],
+    )
+    def test_a_claim_past_the_engine_horizon_fails_only_its_claim(self, tmp_path, line):
+        data = tmp_path / "horizon.tsv"
+        data.write_text(f"table1:m12:u06\tx\texact_value\t15\n{line}\n", encoding="utf-8")
+        report = run_all(data)
+        assert report.passed == 1
+        bad = [r for r in report.results if not r.ok]
+        assert len(bad) == 1 and bad[0].claim_id == line.split("\t")[0]
+        assert bad[0].actual.startswith("outside the engine horizon: ")
+
     def test_an_unknown_identity_fails_its_claim(self, tmp_path):
         data = tmp_path / "identity.tsv"
         data.write_text("identity:no-such-identity\tx\texact_value\t1\n", encoding="utf-8")
