@@ -1,10 +1,13 @@
 """Command-line front end: every computation as reproducible table output.
 
-Each subcommand renders one table, as TSV (default) or JSON, to stdout or
-to ``--output PATH``.  Output is byte-identical across runs for identical
-arguments.  Exit codes: 0 success, 1 verification failures (``verify``
-only), 2 usage error (a size below its minimum, an unreadable or malformed
-reference file, an unwritable ``--output``), 3 internal consistency error.
+One table, ``_COMMANDS``, lists each subcommand once with its help, its
+handler and its size option (name, minimum, default); it builds the parser
+and dispatches.  Each handler returns one table, written as TSV (default)
+or JSON to stdout or to ``--output PATH``.  Output is byte-identical
+across runs for identical arguments.  Exit codes: 0 success, 1
+verification failures (``verify`` only), 2 usage error (a size below its
+minimum, an unreadable or malformed reference file, an unwritable
+``--output``), 3 internal consistency error.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import __version__
 from .asymptotics import asymptotic_report
@@ -41,13 +44,17 @@ Cell = int | float | str
 
 @dataclass
 class OutputTable:
+    """A subcommand's table, its notes for stderr and its exit code; cells render by ``str``."""
+
     columns: list[str]
     rows: list[list[Cell]]
+    notes: list[str] = field(default_factory=list)
+    code: int = 0
 
     def to_tsv(self) -> str:
         lines = ["\t".join(self.columns)]
         for row in self.rows:
-            lines.append("\t".join(_render_cell(cell) for cell in row))
+            lines.append("\t".join(map(str, row)))
         return "\n".join(lines) + "\n"
 
     def to_json(self, command: str) -> str:
@@ -59,18 +66,7 @@ class OutputTable:
         return json.dumps(doc) + "\n"
 
 
-def _render_cell(cell: Cell) -> str:
-    # ints render as plain decimal strings, never scientific notation
-    if isinstance(cell, bool):
-        raise TypeError("boolean cells are not part of the table format")
-    if isinstance(cell, int):
-        return str(cell)
-    if isinstance(cell, float):
-        return repr(cell)
-    return cell
-
-
-def _beta_handler(args) -> tuple[OutputTable, list[str], int]:
+def _beta_handler(args) -> OutputTable:
     max_m = args.max_degree
     table = beta_table(max_m)
     max_u = 0 if max_m == 0 else max(2, max_m - (max_m % 2))
@@ -84,24 +80,29 @@ def _beta_handler(args) -> tuple[OutputTable, list[str], int]:
             else:
                 row.append("")
         rows.append(row)
-    return OutputTable(columns, rows), [], 0
+    return OutputTable(columns, rows)
 
 
-def _primitives_handler(args) -> tuple[OutputTable, list[str], int]:
+def _primitives_handler(args) -> OutputTable:
     counts = primitive_counts(args.max_degree)
     rows: list[list[Cell]] = [[m + 1, c] for m, c in enumerate(counts)]
-    return OutputTable(["m", "P_m"], rows), [], 0
+    return OutputTable(["m", "P_m"], rows)
 
 
-def _euler_handler(args, min_degree: int, column: str) -> tuple[OutputTable, list[str], int]:
-    max_m = args.max_degree
-    exponents = {m + 1: p for m, p in enumerate(primitive_counts(max_m))}
-    series = euler_expand(exponents, min_degree, max_m)
-    rows: list[list[Cell]] = [[m, series[m]] for m in range(1, max_m + 1)]
-    return OutputTable(["m", column], rows), [], 0
+def _euler_handler(min_degree: int, column: str):
+    """A handler for the Euler transform of the P_m from ``min_degree`` on."""
+
+    def handler(args) -> OutputTable:
+        max_m = args.max_degree
+        exponents = {m + 1: p for m, p in enumerate(primitive_counts(max_m))}
+        series = euler_expand(exponents, min_degree, max_m)
+        rows: list[list[Cell]] = [[m, series[m]] for m in range(1, max_m + 1)]
+        return OutputTable(["m", column], rows)
+
+    return handler
 
 
-def _mzv_handler(args) -> tuple[OutputTable, list[str], int]:
+def _mzv_handler(args) -> OutputTable:
     counts = mzv_counts(args.max_weight)
     euler_sums = args.euler_sums
     column = "M" if euler_sums else "D"
@@ -112,10 +113,10 @@ def _mzv_handler(args) -> tuple[OutputTable, list[str], int]:
         if not euler_sums and w == 3 * d and d > DEPTH_DIAGONAL_CHECKED_MAX:
             note = "extrapolated beyond checked range"
         rows.append([w, d, lookup(w, d), note])
-    return OutputTable(["w", "d", column, "note"], rows), [], 0
+    return OutputTable(["w", "d", column, "note"], rows)
 
 
-def _asymptote_handler(args) -> tuple[OutputTable, list[str], int]:
+def _asymptote_handler(args) -> OutputTable:
     report = asymptotic_report(args.max_degree)
     rows: list[list[Cell]] = [
         ["r", report.root],
@@ -125,19 +126,28 @@ def _asymptote_handler(args) -> tuple[OutputTable, list[str], int]:
     ]
     for m, ratio in report.ratios:
         rows.append([f"P_{m}/r^{m}", ratio])
-    return OutputTable(["quantity", "value"], rows), [], 0
+    return OutputTable(["quantity", "value"], rows)
 
 
-def _verify_handler(args) -> tuple[OutputTable, list[str], int]:
+def _verify_handler(args) -> OutputTable:
     report = run_all(args.data)
-    rows: list[list[Cell]] = [
-        [r.claim_id, r.status, r.expected, r.actual] for r in report.results
-    ]
-    notes = list(report.notes)
-    notes.append(f"{report.passed} passed, {report.failed} failed")
-    return OutputTable(["claim", "status", "expected", "actual"], rows), notes, (
-        0 if report.ok else 1
-    )
+    rows: list[list[Cell]] = [[r.claim_id, r.status, r.expected, r.actual] for r in report.results]
+    notes = report.notes + [f"{report.passed} passed, {report.failed} failed"]
+    columns = ["claim", "status", "expected", "actual"]
+    return OutputTable(columns, rows, notes, 0 if report.ok else 1)
+
+
+# Subcommand -> (help, handler, size option, its minimum, its default), in
+# the order of the help page.  verify takes no size.
+_COMMANDS = {
+    "beta": ("bigraded dimension grid", _beta_handler, "--max-degree", 0, 20),
+    "primitives": ("primitive counts P_m", _primitives_handler, "--max-degree", 1, 20),
+    "knots": ("knot invariant counts V_m", _euler_handler(2, "V_m"), "--max-degree", 1, 20),
+    "framed": ("framed-knot invariant counts F_m", _euler_handler(1, "F_m"), "--max-degree", 1, 20),
+    "mzv": ("irreducible counts by weight and depth", _mzv_handler, "--max-weight", 3, 23),
+    "asymptote": ("growth root, limit constant, ratios", _asymptote_handler, "--max-degree", 2, 40),
+    "verify": ("replay the reference data", _verify_handler, None, None, None),
+}
 
 
 def _at_least(minimum: int):
@@ -163,41 +173,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact generating-function tables for graded enumeration conjectures",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("beta", parents=[common], help="bigraded dimension grid")
-    p.add_argument("--max-degree", type=_at_least(0), default=20)
-
-    p = sub.add_parser("primitives", parents=[common], help="primitive counts P_m")
-    p.add_argument("--max-degree", type=_at_least(1), default=20)
-
-    p = sub.add_parser("knots", parents=[common], help="knot invariant counts V_m")
-    p.add_argument("--max-degree", type=_at_least(1), default=20)
-
-    p = sub.add_parser("framed", parents=[common], help="framed-knot invariant counts F_m")
-    p.add_argument("--max-degree", type=_at_least(1), default=20)
-
-    p = sub.add_parser("mzv", parents=[common], help="irreducible counts by weight and depth")
-    p.add_argument("--max-weight", type=_at_least(3), default=23)
-    p.add_argument("--euler-sums", action="store_true", help="tabulate Euler-sum counts")
-
-    p = sub.add_parser("asymptote", parents=[common], help="growth root, limit constant, ratios")
-    p.add_argument("--max-degree", type=_at_least(2), default=40)
-
-    p = sub.add_parser("verify", parents=[common], help="replay the reference data")
-    p.add_argument("--data", default=None, help="override the reference data file")
-
+    for name, (help_text, handler, size, minimum, default) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.set_defaults(handler=handler)
+        if size:
+            p.add_argument(size, type=_at_least(minimum), default=default)
+    sub.choices["mzv"].add_argument(
+        "--euler-sums", action="store_true", help="tabulate Euler-sum counts"
+    )
+    sub.choices["verify"].add_argument(
+        "--data", default=None, help="override the reference data file"
+    )
     return parser
-
-
-_HANDLERS = {
-    "beta": _beta_handler,
-    "primitives": _primitives_handler,
-    "knots": lambda args: _euler_handler(args, 2, "V_m"),
-    "framed": lambda args: _euler_handler(args, 1, "F_m"),
-    "mzv": _mzv_handler,
-    "asymptote": _asymptote_handler,
-    "verify": _verify_handler,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -209,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if code in (None, 0) else int(code)
 
     try:
-        table, notes, code = _HANDLERS[args.command](args)
+        table = args.handler(args)
         rendered = table.to_json(args.command) if args.format == "json" else table.to_tsv()
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
@@ -222,9 +209,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if not args.output:
         sys.stdout.write(rendered)
-    for note in notes:
+    for note in table.notes:
         print(note, file=sys.stderr)
-    return code
+    return table.code
 
 
 def run() -> None:

@@ -37,7 +37,6 @@ _MZV_NUMERATOR = {
 _MZV_DENOMINATOR = ({(0, 0): 1, (2, 0): -1}, {(0, 0): 1, (3, 0): -1})
 
 
-@lru_cache(maxsize=None)
 def build_mzv_rhs(max_weight: int) -> BiSeries:
     """The product side of the zeta-value count generator.
 
@@ -52,7 +51,6 @@ def build_mzv_rhs(max_weight: int) -> BiSeries:
     return BiSeries(2, 3, max_weight, rows)
 
 
-@lru_cache(maxsize=None)
 def build_eul_rhs(max_weight: int) -> BiSeries:
     """The product side of the Euler-sum count generator, 1 - y/(1 - x) = (1 - x - y)/(1 - x)."""
     numerator, factor = {(0, 0): 1, (1, 0): -1, (0, 1): -1}, {(0, 0): 1, (1, 0): -1}

@@ -6,23 +6,22 @@ with j*weight_x + k*weight_y <= max_weight.  Reading outside the stored
 region raises IndexOutOfRange instead of returning zero, so a stale or
 too-short truncation fails loudly rather than producing silent zeros.
 
-Coefficients are Python ints or fractions.Fraction, never floats, and are
-stored as given.  Series values are immutable after construction.  The
-containers add, subtract, truncate, substitute and slice; a sum is valid
-exactly through the minimum truncation of its operands.  They have no
-product, inverse or quotient: the library expands every series with the
-division kernel in `generators` and the Euler-transform pair in
-`transforms`, and the dense products that check those kernels are test
-oracles.
+Coefficients are exact values, never floats (every library path makes
+Python ints), and are stored as given.  Series values are immutable after
+construction.  The containers add, subtract, truncate, substitute and
+slice; a sum is valid exactly through the minimum truncation of its
+operands.  They have no product, inverse or quotient: the library expands
+every series with the division kernel in `generators` and the
+Euler-transform pair in `transforms`, and the dense products that check
+those kernels are test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-Coeff = int | Fraction
+Coeff = int
 
 
 class WeightMismatch(ValueError):

@@ -153,10 +153,8 @@ def euler_expand(exponents: Mapping[int, int], min_degree: int, trunc_order: int
 
 def expand_exponents_uni(exponents: Mapping[int, int], trunc_order: int, form: str) -> UniSeries:
     """Re-expand a peeled exponent family, in either sign convention."""
-    sign = _sign(form)
-    keyed = {(0, m): sign * e for m, e in exponents.items()}
-    (row,) = _euler(keyed, trunc_order + 1, 1, trunc_order)
-    return UniSeries(trunc_order, tuple(row))
+    keyed = {(0, m): e for m, e in exponents.items()}
+    return expand_exponents_bi(keyed, trunc_order + 1, 1, trunc_order, form).slice_x(0)
 
 
 def expand_exponents_bi(
@@ -180,11 +178,9 @@ def peel_uni(series: UniSeries, form: str) -> dict[int, int]:
     NonIntegerExponent if an exponent is fractional, which falsifies the
     product form.
     """
-    sign = _sign(form)
-    if series[0] != 1:
-        raise NonUnitConstant(f"constant term is {series[0]}, expected 1")
     n = series.trunc_order
-    return {m: sign * e for (_, m), e in _peel((series.coeffs,), n + 1, 1, n).items()}
+    exponents = peel_bi(BiSeries(n + 1, 1, n, (series.coeffs,)), form)
+    return {m: e for (_, m), e in exponents.items()}
 
 
 def peel_bi(series: BiSeries, form: str = PRODUCT_PLAIN) -> dict[Monomial, int]:

@@ -173,7 +173,7 @@ _CLAIMS = (
     (r"mzv:M:w(\d+):d(\d+)", lambda w, d: mzv_counts(_MZV_WEIGHT).euler_count(int(w), int(d))),
     (r"mzv:depth1", lambda: [_zeta(w, 1) for w in range(3, 22, 2)]),
     (r"mzv:depth2", lambda: [_zeta(8 + 2 * j, 2) for j in range((_MZV_WEIGHT - 8) // 2 + 1)]),
-    (r"mzv:d3d", lambda: [_zeta(3 * d, d) for d in range(1, 8)]),
+    (r"mzv:d3d", lambda: [_zeta(3 * d, d) for d in range(1, DEPTH_DIAGONAL_CHECKED_MAX + 1)]),
     (r"mzv:x0slice", lambda: list(build_mzv_rhs(_MZV_WEIGHT).slice_x(0).coeffs)),
     (r"const:r", lambda: growth_root()),
     (r"const:C", lambda: growth_constant()),
@@ -228,9 +228,7 @@ def _evaluate(entry: ReferenceEntry) -> ClaimResult:
     return ClaimResult(entry.claim_id, ok, str(expected_int), str(actual))
 
 
-_PREDICTION_NOTE = (
-    "predictions with no independent check: beta(15,10)=28, beta(16,12)=28, beta(19,16)=25"
-)
+_PREDICTED_CELLS = ((15, 10), (16, 12), (19, 16))  # grid cells no independent check reaches
 _EXTENSION_NOTE = (
     f"depth-diagonal counts at depth > {DEPTH_DIAGONAL_CHECKED_MAX}"
     " extend the generator beyond its checked range"
@@ -242,4 +240,6 @@ def run_all(data_path: str | os.PathLike | None = None) -> VerificationReport:
     entries = load_reference(resolve_data_path(data_path))
     results = [_evaluate(entry) for entry in entries]
     results.sort(key=lambda r: r.claim_id)
-    return VerificationReport(results, notes=[_PREDICTION_NOTE, _EXTENSION_NOTE])
+    predicted = ", ".join(f"beta({m},{u})={_beta(m, u)}" for m, u in _PREDICTED_CELLS)
+    prediction_note = f"predictions with no independent check: {predicted}"
+    return VerificationReport(results, notes=[prediction_note, _EXTENSION_NOTE])

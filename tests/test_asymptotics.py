@@ -1,3 +1,5 @@
+import pytest
+
 from gfenum.asymptotics import (
     asymptotic_report,
     growth_constant,
@@ -34,6 +36,15 @@ class TestGrowthConstant:
 
     def test_series_extrapolation_route_agrees(self):
         assert abs(growth_constant_from_series() - growth_constant()) < 1e-10
+
+    @pytest.mark.parametrize("terms", [0, 10, 6033])
+    def test_series_route_rejects_a_tail_above_its_bound(self, terms):
+        # (1 - r * 0.08 * 0.65**9)**terms exceeds 1e-6 below 6,034 terms
+        with pytest.raises(ValueError, match="tail bound"):
+            growth_constant_from_series(terms)
+
+    def test_series_route_accepts_its_minimum(self):
+        assert abs(growth_constant_from_series(6034) - growth_constant()) < 1e-4
 
     def test_gap_recurrence_matches_the_closed_expansion(self):
         # the sparse recurrence against dense inverse-then-multiply products

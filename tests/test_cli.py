@@ -189,3 +189,41 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "mzv")
         assert code == 3
         assert "internal consistency error" in err
+
+
+class TestHelp:
+    SUBCOMMANDS = [
+        ["beta", "bigraded dimension grid"],
+        ["primitives", "primitive counts P_m"],
+        ["knots", "knot invariant counts V_m"],
+        ["framed", "framed-knot invariant counts F_m"],
+        ["mzv", "irreducible counts by weight and depth"],
+        ["asymptote", "growth root, limit constant, ratios"],
+        ["verify", "replay the reference data"],
+    ]
+
+    def test_help_lists_each_subcommand_once_in_order(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0
+        listed = [line.split(None, 1) for line in out.splitlines() if line.startswith("    ")]
+        assert listed == self.SUBCOMMANDS
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("beta", ["--max-degree"]),
+            ("primitives", ["--max-degree"]),
+            ("knots", ["--max-degree"]),
+            ("framed", ["--max-degree"]),
+            ("mzv", ["--max-weight", "--euler-sums"]),
+            ("asymptote", ["--max-degree"]),
+            ("verify", ["--data"]),
+        ],
+    )
+    def test_each_subcommand_help_names_its_options(self, capsys, monkeypatch, command, options):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0 and out.startswith(f"usage: gfenum {command} ")
+        listed = [line.split()[0] for line in out.splitlines() if line.startswith("  -")]
+        assert listed == ["-h,", "--format", "--output"] + options

@@ -1,5 +1,6 @@
 import pytest
 
+import gfenum.verify as verify
 from gfenum.verify import (
     ReferenceEntry,
     default_data_path,
@@ -52,6 +53,27 @@ class TestReferenceFile:
     def test_notes_mention_predictions(self):
         report = run_all()
         assert any("beta(15,10)=28" in note for note in report.notes)
+
+    def test_prediction_note_is_read_from_the_engine(self, monkeypatch):
+        prefix = "predictions with no independent check: "
+        assert run_all().notes[0] == prefix + "beta(15,10)=28, beta(16,12)=28, beta(19,16)=25"
+        real_table = verify.beta_table
+
+        class Shifted:
+            """The real table with beta(15, 10) raised by one."""
+
+            def __init__(self, max_m):
+                self.table = real_table(max_m)
+
+            def get(self, m, u):
+                return self.table.get(m, u) + ((m, u) == (15, 10))
+
+            def tally_terms(self, m):
+                return self.table.tally_terms(m)
+
+        monkeypatch.setattr(verify, "beta_table", Shifted)
+        report = run_all()
+        assert report.notes[0] == prefix + "beta(15,10)=29, beta(16,12)=28, beta(19,16)=25"
 
 
 class TestMutations:
