@@ -18,7 +18,6 @@ from .series import (
 )
 from .generators import (
     BetaTable,
-    RationalGF,
     UnsupportedColumn,
     UnsupportedDiagonal,
     beta_table,
@@ -57,6 +56,7 @@ from .asymptotics import (
     growth_constant,
     growth_constant_from_series,
     growth_root,
+    max_ratio_degree,
     ratio_table,
 )
 from .verify import ReferenceEntry, VerificationReport, run_all
@@ -73,7 +73,6 @@ __all__ = [
     "NonUnitConstant",
     "PRODUCT_OF_INVERSES",
     "PRODUCT_PLAIN",
-    "RationalGF",
     "ReferenceEntry",
     "UniSeries",
     "UnsupportedColumn",
@@ -96,6 +95,7 @@ __all__ = [
     "growth_constant_from_series",
     "growth_root",
     "h_series",
+    "max_ratio_degree",
     "mzv_counts",
     "p_closed",
     "p_from_b",

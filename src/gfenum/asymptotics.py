@@ -14,10 +14,11 @@ series partial sums toward the pole.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .generators import p_closed_form, primitive_counts
+from .generators import _P_FACTORS, _P_NUMERATOR, _expand_uni, primitive_counts
 
 
 def _quartic(r: float) -> float:
@@ -44,6 +45,14 @@ def growth_root() -> float:
     return r
 
 
+def _evaluate(poly: dict[int, int], y: float) -> float:
+    """sum_d c_d * y**d, added left to right in increasing degree (`sum` compensates on 3.12+)."""
+    total = 0.0
+    for d, c in sorted(poly.items()):
+        total += c * y ** d
+    return total
+
+
 @lru_cache(maxsize=None)
 def growth_constant() -> float:
     """lim_m P_m / r**m, as the residue-style limit of (1 - r*y) times the gap series.
@@ -54,8 +63,8 @@ def growth_constant() -> float:
     """
     r = growth_root()
     y = 1.0 / r
-    numerator = y ** 4 - y ** 8 - y ** 10 - y ** 12 - y ** 17
-    plain_factors = (1.0 - y) * (1.0 - y ** 2) * (1.0 - y ** 3) * (1.0 - y ** 6)
+    numerator = _evaluate(_P_NUMERATOR, y)
+    plain_factors = math.prod(_evaluate(factor, y) for factor in _P_FACTORS[:4])
     vanishing_limit = r ** 4 / (r ** 3 + 4.0)
     return numerator * vanishing_limit / plain_factors
 
@@ -108,7 +117,7 @@ def growth_constant_from_series(terms: int = 14000) -> float:
     if tail > _MAX_TAIL:
         raise ValueError(f"terms={terms} leaves a series tail bound of {tail:.4g} > {_MAX_TAIL:g}")
     scale = 0.70  # any value below 1/r keeps the rescaled sweep bounded
-    coeffs = _scaled_floats(p_closed_form().expand(terms).coeffs, scale)
+    coeffs = _scaled_floats(_expand_uni(_P_NUMERATOR, _P_FACTORS, terms).coeffs, scale)
     values = []
     for t in offsets:
         y = 1.0 / r - t
@@ -125,10 +134,15 @@ def growth_constant_from_series(terms: int = 14000) -> float:
     return table[0]
 
 
+def max_ratio_degree() -> int:
+    """The largest m whose r**m is a finite double (2,202): the upper limit of ratio_table."""
+    return int(math.log(sys.float_info.max) / math.log(growth_root()))
+
+
 def ratio_table(max_m: int) -> list[tuple[int, float]]:
-    """(m, P_m / r**m) for m = 1 .. max_m, a convergence diagnostic."""
-    if max_m < 2:
-        raise ValueError("max_m must be >= 2")
+    """(m, P_m / r**m) for m = 1 .. max_m, a convergence diagnostic, for 2 <= max_m <= 2,202."""
+    if not 2 <= max_m <= max_ratio_degree():
+        raise ValueError(f"max_m must be in [2, {max_ratio_degree()}]")
     r = growth_root()
     counts = primitive_counts(max_m)
     return [(m, counts[m - 1] / r ** m) for m in range(1, max_m + 1)]

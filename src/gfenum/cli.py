@@ -1,13 +1,13 @@
 """Command-line front end: every computation as reproducible table output.
 
 One table, ``_COMMANDS``, lists each subcommand once with its help, its
-handler and its size option (name, minimum, default); it builds the parser
-and dispatches.  Each handler returns one table, written as TSV (default)
-or JSON to stdout or to ``--output PATH``.  Output is byte-identical
-across runs for identical arguments.  Exit codes: 0 success, 1
-verification failures (``verify`` only), 2 usage error (a size below its
-minimum, an unreadable or malformed reference file, an unwritable
-``--output``), 3 internal consistency error.
+handler and its size option (name, minimum, maximum or None, default); it
+builds the parser and dispatches.  Each handler returns one table, written
+as TSV (default) or JSON to stdout or to ``--output PATH``.  Output is
+byte-identical across runs for identical arguments.  Exit codes: 0
+success, 1 verification failures (``verify`` only), 2 usage error (a size
+outside its range, an unreadable or malformed reference file, an
+unwritable ``--output``), 3 internal consistency error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__
-from .asymptotics import asymptotic_report
+from .asymptotics import asymptotic_report, max_ratio_degree
 from .generators import beta_table, primitive_counts
 from .mzv import DEPTH_DIAGONAL_CHECKED_MAX, CrossCheckError, mzv_counts
 from .series import IndexOutOfRange, WeightMismatch
@@ -71,15 +71,10 @@ def _beta_handler(args) -> OutputTable:
     table = beta_table(max_m)
     max_u = 0 if max_m == 0 else max(2, max_m - (max_m % 2))
     columns = ["m"] + [f"u={u}" for u in range(0, max_u + 1, 2)]
-    rows: list[list[Cell]] = []
-    for m in range(max_m + 1):
-        row: list[Cell] = [m]
-        for u in range(0, max_u + 1, 2):
-            if u <= m or (m, u) == (1, 2):
-                row.append(table.get(m, u))
-            else:
-                row.append("")
-        rows.append(row)
+    rows: list[list[Cell]] = [
+        [m] + [table.entries.get((m, u), "") for u in range(0, max_u + 1, 2)]
+        for m in range(max_m + 1)
+    ]
     return OutputTable(columns, rows)
 
 
@@ -137,25 +132,29 @@ def _verify_handler(args) -> OutputTable:
     return OutputTable(columns, rows, notes, 0 if report.ok else 1)
 
 
-# Subcommand -> (help, handler, size option, its minimum, its default), in
-# the order of the help page.  verify takes no size.
+# Subcommand -> (help, handler, size option, its minimum, its maximum or
+# None, its default), in the order of the help page.  verify takes no size.
 _COMMANDS = {
-    "beta": ("bigraded dimension grid", _beta_handler, "--max-degree", 0, 20),
-    "primitives": ("primitive counts P_m", _primitives_handler, "--max-degree", 1, 20),
-    "knots": ("knot invariant counts V_m", _euler_handler(2, "V_m"), "--max-degree", 1, 20),
-    "framed": ("framed-knot invariant counts F_m", _euler_handler(1, "F_m"), "--max-degree", 1, 20),
-    "mzv": ("irreducible counts by weight and depth", _mzv_handler, "--max-weight", 3, 23),
-    "asymptote": ("growth root, limit constant, ratios", _asymptote_handler, "--max-degree", 2, 40),
-    "verify": ("replay the reference data", _verify_handler, None, None, None),
+    "beta": ("bigraded dimension grid", _beta_handler, "--max-degree", 0, None, 20),
+    "primitives": ("primitive counts P_m", _primitives_handler, "--max-degree", 1, None, 20),
+    "knots": ("knot invariant counts V_m", _euler_handler(2, "V_m"), "--max-degree", 1, None, 20),
+    "framed": ("framed-knot invariant counts F_m", _euler_handler(1, "F_m"),
+               "--max-degree", 1, None, 20),
+    "mzv": ("irreducible counts by weight and depth", _mzv_handler, "--max-weight", 3, None, 23),
+    "asymptote": ("growth root, limit constant, ratios", _asymptote_handler,
+                  "--max-degree", 2, max_ratio_degree(), 40),
+    "verify": ("replay the reference data", _verify_handler, None, None, None, None),
 }
 
 
-def _at_least(minimum: int):
-    """An argparse type: an integer size no smaller than ``minimum``."""
+def _size_in(minimum: int, maximum: int | None):
+    """An argparse type: an integer size in [minimum, maximum], unbounded above for None."""
 
     def size(text: str) -> int:
         if int(text) < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}")
+        if maximum is not None and int(text) > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}")
         return int(text)
 
     return size
@@ -173,11 +172,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact generating-function tables for graded enumeration conjectures",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, size, minimum, default) in _COMMANDS.items():
+    for name, (help_text, handler, size, minimum, maximum, default) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.set_defaults(handler=handler)
         if size:
-            p.add_argument(size, type=_at_least(minimum), default=default)
+            p.add_argument(size, type=_size_in(minimum, maximum), default=default)
     sub.choices["mzv"].add_argument(
         "--euler-sums", action="store_true", help="tabulate Euler-sum counts"
     )
@@ -192,8 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return 0 if code in (None, 0) else int(code)
+        return int(exc.code or 0)
 
     try:
         table = args.handler(args)

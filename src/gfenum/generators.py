@@ -80,51 +80,21 @@ def _expand_rational(
     return rows
 
 
-@dataclass(frozen=True)
-class RationalGF:
-    """A univariate rational generating function.
-
-    Stored as a sparse numerator polynomial and a list of denominator
-    factors, each with constant term exactly 1 so the expansion to any
-    truncation order is well defined and exact.  It is the one-grading
-    adapter of the division kernel that expands the two-variable generators.
-    """
-
-    numerator: tuple[tuple[int, int], ...]
-    denominator_factors: tuple[tuple[tuple[int, int], ...], ...]
-
-    def __post_init__(self) -> None:
-        self.expand(0)  # the kernel's checks on the factors, once at construction
-
-    @classmethod
-    def build(cls, numerator: Poly, factors: Iterable[Poly]) -> RationalGF:
-        return cls(
-            tuple(sorted(numerator.items())),
-            tuple(tuple(sorted(f.items())) for f in factors),
-        )
-
-    def expand(self, trunc_order: int) -> UniSeries:
-        """Coefficients through trunc_order, in O(trunc_order * nnz) operations.
-
-        Each pass divides by one sparse factor f, out_n -= sum_{d > 0} f_d * out_{n-d}.
-        """
-        if trunc_order < 0:
-            raise ValueError("truncation order must be >= 0")
-        (row,) = _expand_rational(
-            {(0, d): c for d, c in self.numerator},
-            [{(0, d): c for d, c in f} for f in self.denominator_factors],
-            trunc_order + 1, 1, trunc_order,
-        )
-        return UniSeries(trunc_order, tuple(row))
-
-
-@lru_cache(maxsize=None)
-def p_closed_form() -> RationalGF:
-    """Closed rational form of sum_m (P_m - 1) y**m."""
-    return RationalGF.build(
-        {4: 1, 8: -1, 10: -1, 12: -1, 17: -1},
-        [_one_minus(1), _one_minus(2), _one_minus(3), _one_minus(6), _one_minus(1, 4)],
+def _expand_uni(numerator: Poly, factors: Iterable[Poly], trunc_order: int) -> UniSeries:
+    """numerator / prod(factors) through trunc_order: the j = 0 row of the division kernel."""
+    if trunc_order < 0:
+        raise ValueError("truncation order must be >= 0")
+    (row,) = _expand_rational(
+        {(0, d): c for d, c in numerator.items()},
+        [{(0, d): c for d, c in f.items()} for f in factors],
+        trunc_order + 1, 1, trunc_order,
     )
+    return UniSeries(trunc_order, tuple(row))
+
+
+# The closed rational form of sum_m (P_m - 1) y**m
+_P_NUMERATOR = {4: 1, 8: -1, 10: -1, 12: -1, 17: -1}
+_P_FACTORS = (_one_minus(1), _one_minus(2), _one_minus(3), _one_minus(6), _one_minus(1, 4))
 
 
 @lru_cache(maxsize=None)
@@ -132,7 +102,7 @@ def p_closed(max_m: int) -> UniSeries:
     """sum_m (P_m - 1) y**m from the closed rational form; P_m = coeff + 1."""
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
-    return p_closed_form().expand(max_m)
+    return _expand_uni(_P_NUMERATOR, _P_FACTORS, max_m)
 
 
 # build_b over its common denominator, as monomials (j, d) = x**j * y**d
@@ -245,7 +215,7 @@ def g_series(k: int, trunc_order: int) -> UniSeries:
         raise UnsupportedDiagonal(f"no closed form for diagonal k={k}")
     g = UniSeries.zero(trunc_order)
     for a, degrees in _DIAGONALS[k]:
-        g = g + RationalGF.build({a: 1}, map(_one_minus, degrees)).expand(trunc_order)
+        g = g + _expand_uni({a: 1}, map(_one_minus, degrees), trunc_order)
     return g
 
 
@@ -259,7 +229,7 @@ def h_series(j: int, trunc_order: int, orientable_only: bool = False) -> UniSeri
         raise UnsupportedColumn(f"no closed form for column j={j}")
     numerator = ({4: 1}, {3: 1}, {2: 1, 3: 1}, {1: 1, 2: 1, 3: 1, 4: 1})[j]
     degrees = (1, 2) if orientable_only else (1, 2, 3)
-    return RationalGF.build(numerator, map(_one_minus, degrees)).expand(trunc_order)
+    return _expand_uni(numerator, map(_one_minus, degrees), trunc_order)
 
 
 def floor_formula_diag1(j: int) -> int:
@@ -295,7 +265,7 @@ def p_from_b(max_m: int) -> UniSeries:
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
     b = build_b(max_m)
-    correction = RationalGF.build({4: 1}, [_one_minus(1), _one_minus(2)]).expand(max_m)
+    correction = _expand_uni({4: 1}, [_one_minus(1), _one_minus(2)], max_m)
     return b.substitute_x() - b.slice_x(0) + correction
 
 

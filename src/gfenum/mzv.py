@@ -125,19 +125,14 @@ def _to_weight_depth(
 
 def _cross_check_diagonals(counts: MzvCounts) -> None:
     w = counts.max_weight
-    # depth 1: every odd weight from 3 up contributes exactly one count,
-    # matching the geometric series 1/(1 - x)
-    if w >= 3:
-        expect = g_series(0, (w - 3) // 2)
-        for j in range(expect.trunc_order + 1):
-            if counts.mzv_count(3 + 2 * j, 1) != expect[j]:
-                raise CrossCheckError(f"depth-1 count at weight {3 + 2 * j} is off")
+    # depth 1: one count at every odd weight from 3 up, the series 1/(1 - x);
     # depth 2 starts at weight 8 and follows 1/((1 - x)(1 - x**3))
-    if w >= 8:
-        expect = g_series(1, (w - 8) // 2)
-        for j in range(expect.trunc_order + 1):
-            if counts.mzv_count(8 + 2 * j, 2) != expect[j]:
-                raise CrossCheckError(f"depth-2 count at weight {8 + 2 * j} is off")
+    for depth, first, k in ((1, 3, 0), (2, 8, 1)):
+        if w >= first:
+            expect = g_series(k, (w - first) // 2)
+            for j in range(expect.trunc_order + 1):
+                if counts.mzv_count(first + 2 * j, depth) != expect[j]:
+                    raise CrossCheckError(f"depth-{depth} count at weight {first + 2 * j} is off")
     if w >= 6 and counts.mzv_count(6, 2) != 0:
         raise CrossCheckError("depth-2 count at weight 6 should vanish")
     # depth 3: the differences against depth 2 follow the next diagonal fit

@@ -49,7 +49,7 @@ _DUAL_ROUTE_DEGREE = 40
 
 
 class ReferenceFormatError(ValueError):
-    """A reference file line that is not a well-formed claim."""
+    """A reference file that is not UTF-8, or a line that is not a well-formed claim."""
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,12 @@ def resolve_data_path(data_path: str | os.PathLike | None = None):
 
 
 def load_reference(path) -> list[ReferenceEntry]:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ReferenceFormatError(f"{path}: not UTF-8: {exc}") from exc
     entries = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from gfenum.asymptotics import (
@@ -5,9 +7,10 @@ from gfenum.asymptotics import (
     growth_constant,
     growth_constant_from_series,
     growth_root,
+    max_ratio_degree,
     ratio_table,
 )
-from gfenum.generators import p_closed_form, primitive_counts
+from gfenum.generators import _P_FACTORS, _P_NUMERATOR, p_closed, primitive_counts
 from gfenum.series import UniSeries
 
 from literals import GROWTH_CONSTANT, GROWTH_ROOT
@@ -29,10 +32,16 @@ class TestGrowthRoot:
     def test_root_is_in_range(self):
         assert 1.0 < growth_root() < 2.0
 
+    def test_root_bits_are_pinned(self):
+        assert growth_root().hex() == "0x1.6159deeaad37dp+0"
+
 
 class TestGrowthConstant:
     def test_matches_published_digits(self):
         assert abs(growth_constant() - GROWTH_CONSTANT) < 1e-11
+
+    def test_constant_bits_are_pinned(self):
+        assert growth_constant().hex() == "0x1.1006e9d09c523p+0"
 
     def test_series_extrapolation_route_agrees(self):
         assert abs(growth_constant_from_series() - growth_constant()) < 1e-10
@@ -48,12 +57,11 @@ class TestGrowthConstant:
 
     def test_gap_recurrence_matches_the_closed_expansion(self):
         # the sparse recurrence against dense inverse-then-multiply products
-        gf = p_closed_form()
         for n in (40, 200):
-            oracle = UniSeries.from_terms(n, dict(gf.numerator))
-            for factor in gf.denominator_factors:
-                oracle = uni_mul(oracle, uni_inverse(UniSeries.from_terms(n, dict(factor))))
-            assert gf.expand(n) == oracle
+            oracle = UniSeries.from_terms(n, _P_NUMERATOR)
+            for factor in _P_FACTORS:
+                oracle = uni_mul(oracle, uni_inverse(UniSeries.from_terms(n, factor)))
+            assert p_closed(n) == oracle
 
 
 class TestConvergence:
@@ -80,3 +88,35 @@ class TestConvergence:
         p40 = primitive_counts(40)[-1]
         gap = abs(p40 / r ** 40 - growth_constant())
         assert gap < 2e-3
+
+    def test_degree_forty_gap_is_the_periodic_part(self):
+        # Partial fractions split the gap series into A/Q, Q = 1 - y - y**4,
+        # which carries the pole, and a part over (1-y)(1-y**2)(1-y**3)(1-y**6)
+        # whose coefficients q(m) are, from m = 2 on, a cubic quasi-polynomial
+        # of period 6, so their 6-step fourth differences vanish.  A/Q gives
+        # C * r**m plus terms from the other roots of Q, which decay, so the
+        # criterion-9 gap P_40/r**40 - C is (1 + q(40))/r**40 up to those.
+        numerator = {0: 51, 1: 16, 2: 46, 3: 22}  # A = (22y**3 + 46y**2 + 16y + 51)/49
+        size = 70
+        a: list[Fraction] = []
+        for m in range(size + 1):
+            a.append(Fraction(numerator.get(m, 0), 49) + sum(a[m - d] for d in (1, 4) if d <= m))
+        counts = [None] + primitive_counts(size)
+        q = [None] + [counts[m] - 1 - a[m] for m in range(1, size + 1)]
+        for m in range(2, size - 23):
+            assert q[m + 24] - 4 * q[m + 18] + 6 * q[m + 12] - 4 * q[m + 6] + q[m] == 0
+        assert 1 + q[40] == Fraction(32882, 49)
+        r = growth_root()
+        gap = counts[40] / r ** 40 - growth_constant()
+        assert abs(gap - (32882 / 49) / r ** 40) < 1e-7
+
+
+class TestRatioLimit:
+    def test_largest_degree_is_where_r_to_the_m_stays_finite(self):
+        assert max_ratio_degree() == 2202
+        assert ratio_table(2202)[-1][0] == 2202
+
+    @pytest.mark.parametrize("max_m", [1, 2203])
+    def test_sizes_outside_the_range_are_rejected(self, max_m):
+        with pytest.raises(ValueError, match=r"max_m must be in \[2, 2202\]"):
+            ratio_table(max_m)

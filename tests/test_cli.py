@@ -129,6 +129,13 @@ class TestExitCodes:
         assert err.splitlines()[-1] == expected
         assert run_cli(capsys, command, flag, str(minimum))[0] == 0
 
+    def test_the_parser_enforces_the_asymptote_maximum(self, capsys):
+        code, out, err = run_cli(capsys, "asymptote", "--max-degree", "2203")
+        assert code == 2 and out == ""
+        expected = "gfenum asymptote: error: argument --max-degree: must be <= 2202"
+        assert err.splitlines()[-1] == expected
+        assert "Traceback" not in err
+
     def test_unknown_argument(self, capsys):
         code, _, _ = run_cli(capsys, "beta", "--nope")
         assert code == 2
@@ -180,6 +187,13 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "verify", "--data", str(malformed))
         assert code == 2
         assert len(err.splitlines()) == 1 and "4 tab-separated" in err
+
+    def test_a_reference_file_that_is_not_utf8_is_a_usage_error(self, capsys, tmp_path):
+        undecodable = tmp_path / "undecodable.tsv"
+        undecodable.write_bytes(b"\xff")
+        code, _, err = run_cli(capsys, "verify", "--data", str(undecodable))
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "undecodable.tsv: not UTF-8" in err
 
     def test_internal_error_exits_three(self, capsys, monkeypatch):
         def boom(_):

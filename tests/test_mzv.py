@@ -137,12 +137,23 @@ class TestDepthDiagonal:
 
 
 class TestConsistencyGuards:
-    def test_cross_check_rejects_a_corrupted_table(self):
-        counts = mzv_counts(12)
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            ((5, 1), "depth-1 count at weight 5 is off"),
+            ((10, 2), "depth-2 count at weight 10 is off"),
+            ((13, 3), "depth-3 offset at weight 13 is off"),
+            ((6, 2), "depth-2 count at weight 6 should vanish"),
+            ((11, 3), "depth-3 count at weight 11 should match depth 2 at weight 8"),
+        ],
+        ids=["w5d1", "w10d2", "w13d3", "w6d2", "w11d3"],
+    )
+    def test_cross_check_rejects_a_corrupted_table(self, cell, message):
+        counts = mzv_counts(23)
         broken = dict(counts.mzv)
-        broken[(5, 1)] = 7
-        with pytest.raises(CrossCheckError):
-            _cross_check_diagonals(MzvCounts(12, broken, counts.euler))
+        broken[cell] += 1
+        with pytest.raises(CrossCheckError, match=f"^{message}$"):
+            _cross_check_diagonals(MzvCounts(23, broken, counts.euler))
 
     def test_fractional_input_propagates(self):
         series = BiSeries.from_terms(2, 3, 9, {(0, 0): 1, (0, 1): Fraction(1, 2)})

@@ -3,6 +3,7 @@ import pytest
 import gfenum.verify as verify
 from gfenum.verify import (
     ReferenceEntry,
+    ReferenceFormatError,
     default_data_path,
     load_reference,
     resolve_data_path,
@@ -122,6 +123,12 @@ class TestFileFormat:
         bad = tmp_path / "bad.tsv"
         bad.write_text("seq:P\tsomewhere\tguess\t1,2\n", encoding="utf-8")
         with pytest.raises(ValueError, match="unknown claim kind"):
+            load_reference(bad)
+
+    def test_a_file_that_is_not_utf8_is_rejected(self, tmp_path):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"\xff")
+        with pytest.raises(ReferenceFormatError, match="bad.tsv: not UTF-8"):
             load_reference(bad)
 
     def test_comments_and_blanks_are_skipped(self, tmp_path):
