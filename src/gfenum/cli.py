@@ -1,8 +1,8 @@
 """Command-line front end: every computation as reproducible table output.
 
 One table, ``_COMMANDS``, lists each subcommand once with its help, its
-handler and its size option (name, minimum, maximum or None, default); it
-builds the parser and dispatches.  Each handler returns one table, written
+handler and its size option (name, minimum, maximum, default); it builds
+the parser and dispatches.  Each handler returns one table, written
 as TSV (default) or JSON to stdout or to ``--output PATH``.  Output is
 byte-identical across runs for identical arguments.  Exit codes: 0
 success, 1 verification failures (``verify`` only), 2 usage error (a size
@@ -132,28 +132,30 @@ def _verify_handler(args) -> OutputTable:
     return OutputTable(columns, rows, notes, 0 if report.ok else 1)
 
 
-# Subcommand -> (help, handler, size option, its minimum, its maximum or
-# None, its default), in the order of the help page.  verify takes no size.
+# Subcommand -> (help, handler, size option, its minimum, its maximum, its
+# default), in the order of the help page.  verify takes no size.  Each
+# maximum but asymptote's keeps one run within about 2 s and 150 MB (the
+# README lists the cost at each); asymptote's is the largest finite r**m.
 _COMMANDS = {
-    "beta": ("bigraded dimension grid", _beta_handler, "--max-degree", 0, None, 20),
-    "primitives": ("primitive counts P_m", _primitives_handler, "--max-degree", 1, None, 20),
-    "knots": ("knot invariant counts V_m", _euler_handler(2, "V_m"), "--max-degree", 1, None, 20),
+    "beta": ("bigraded dimension grid", _beta_handler, "--max-degree", 0, 1000, 20),
+    "primitives": ("primitive counts P_m", _primitives_handler, "--max-degree", 1, 20000, 20),
+    "knots": ("knot invariant counts V_m", _euler_handler(2, "V_m"), "--max-degree", 1, 2000, 20),
     "framed": ("framed-knot invariant counts F_m", _euler_handler(1, "F_m"),
-               "--max-degree", 1, None, 20),
-    "mzv": ("irreducible counts by weight and depth", _mzv_handler, "--max-weight", 3, None, 23),
+               "--max-degree", 1, 2000, 20),
+    "mzv": ("irreducible counts by weight and depth", _mzv_handler, "--max-weight", 3, 300, 23),
     "asymptote": ("growth root, limit constant, ratios", _asymptote_handler,
                   "--max-degree", 2, max_ratio_degree(), 40),
     "verify": ("replay the reference data", _verify_handler, None, None, None, None),
 }
 
 
-def _size_in(minimum: int, maximum: int | None):
-    """An argparse type: an integer size in [minimum, maximum], unbounded above for None."""
+def _size_in(minimum: int, maximum: int):
+    """An argparse type: an integer size in [minimum, maximum]."""
 
     def size(text: str) -> int:
         if int(text) < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}")
-        if maximum is not None and int(text) > maximum:
+        if int(text) > maximum:
             raise argparse.ArgumentTypeError(f"must be <= {maximum}")
         return int(text)
 

@@ -213,10 +213,11 @@ def g_series(k: int, trunc_order: int) -> UniSeries:
     """
     if not 0 <= k <= 5:
         raise UnsupportedDiagonal(f"no closed form for diagonal k={k}")
-    g = UniSeries.zero(trunc_order)
-    for a, degrees in _DIAGONALS[k]:
-        g = g + _expand_uni({a: 1}, map(_one_minus, degrees), trunc_order)
-    return g
+    rows = [
+        _expand_uni({a: 1}, map(_one_minus, degrees), trunc_order).coeffs
+        for a, degrees in _DIAGONALS[k]
+    ]
+    return UniSeries(trunc_order, tuple(map(sum, zip(*rows))))
 
 
 def h_series(j: int, trunc_order: int, orientable_only: bool = False) -> UniSeries:
@@ -266,7 +267,8 @@ def p_from_b(max_m: int) -> UniSeries:
         raise ValueError("max_m must be >= 1")
     b = build_b(max_m)
     correction = _expand_uni({4: 1}, [_one_minus(1), _one_minus(2)], max_m)
-    return b.substitute_x() - b.slice_x(0) + correction
+    rows = zip(b.substitute_x().coeffs, b.coeffs[0], correction.coeffs)
+    return UniSeries(max_m, tuple(s - u0 + c for s, u0, c in rows))
 
 
 def primitive_counts(max_m: int) -> list[int]:

@@ -8,24 +8,23 @@ too-short truncation fails loudly rather than producing silent zeros.
 
 Coefficients are exact values, never floats (every library path makes
 Python ints), and are stored as given.  Series values are immutable after
-construction.  The containers add, subtract, truncate, substitute and
-slice; a sum is valid exactly through the minimum truncation of its
-operands.  They have no product, inverse or quotient: the library expands
-every series with the division kernel in `generators` and the
-Euler-transform pair in `transforms`, and the dense products that check
-those kernels are test oracles.
+construction.  The containers index, truncate, substitute and slice;
+they have no arithmetic: the library expands every series with the
+division kernel in `generators` and the Euler-transform pair in
+`transforms`, and the dense algebra that checks those kernels is a test
+oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 Coeff = int
 
 
 class WeightMismatch(ValueError):
-    """Bivariate operands carry incompatible variable weights."""
+    """A bivariate series carries variable weights the operation does not support."""
 
 
 class IndexOutOfRange(IndexError):
@@ -47,22 +46,6 @@ class UniSeries:
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
     @classmethod
-    def from_coeffs(cls, coeffs: Iterable[Coeff], trunc_order: int | None = None) -> UniSeries:
-        """Series with the given low-order coefficients, zero-padded to fit.
-
-        Coefficients beyond an explicit ``trunc_order`` are discarded: the
-        result represents the input only through its truncation.
-        """
-        data = list(coeffs)
-        if trunc_order is None:
-            if not data:
-                raise ValueError("empty coefficient list needs an explicit truncation order")
-            trunc_order = len(data) - 1
-        data = data[: trunc_order + 1]
-        data += [0] * (trunc_order + 1 - len(data))
-        return cls(trunc_order, tuple(data))
-
-    @classmethod
     def from_terms(cls, trunc_order: int, terms: Mapping[int, Coeff]) -> UniSeries:
         """Series of a sparse polynomial; terms beyond the truncation are dropped."""
         data = [0] * (trunc_order + 1)
@@ -72,14 +55,6 @@ class UniSeries:
             if degree <= trunc_order:
                 data[degree] = coeff
         return cls(trunc_order, tuple(data))
-
-    @classmethod
-    def one(cls, trunc_order: int) -> UniSeries:
-        return cls.from_terms(trunc_order, {0: 1})
-
-    @classmethod
-    def zero(cls, trunc_order: int) -> UniSeries:
-        return cls.from_terms(trunc_order, {})
 
     def __getitem__(self, degree: int) -> Coeff:
         if not 0 <= degree <= self.trunc_order:
@@ -94,16 +69,6 @@ class UniSeries:
                 f"cannot extend truncation {self.trunc_order} to {trunc_order}"
             )
         return UniSeries(trunc_order, self.coeffs[: trunc_order + 1])
-
-    def __neg__(self) -> UniSeries:
-        return UniSeries(self.trunc_order, tuple(-c for c in self.coeffs))
-
-    def __add__(self, other: UniSeries) -> UniSeries:
-        n = min(self.trunc_order, other.trunc_order)
-        return UniSeries(n, tuple(self.coeffs[d] + other.coeffs[d] for d in range(n + 1)))
-
-    def __sub__(self, other: UniSeries) -> UniSeries:
-        return self + (-other)
 
 
 def _row_length(weight_x: int, weight_y: int, max_weight: int, j: int) -> int:
@@ -139,31 +104,6 @@ class BiSeries:
                 raise ValueError(f"row {j} must hold exactly {width} coefficients")
         object.__setattr__(self, "coeffs", rows)
 
-    @classmethod
-    def from_terms(
-        cls,
-        weight_x: int,
-        weight_y: int,
-        max_weight: int,
-        terms: Mapping[tuple[int, int], Coeff],
-    ) -> BiSeries:
-        """Series of a sparse polynomial; terms outside the triangle are dropped."""
-        rows = _zero_rows(weight_x, weight_y, max_weight)
-        for (j, k), coeff in terms.items():
-            if j < 0 or k < 0:
-                raise ValueError("negative exponents are not representable")
-            if j * weight_x + k * weight_y <= max_weight:
-                rows[j][k] = coeff
-        return cls(weight_x, weight_y, max_weight, rows)
-
-    @classmethod
-    def one(cls, weight_x: int, weight_y: int, max_weight: int) -> BiSeries:
-        return cls.from_terms(weight_x, weight_y, max_weight, {(0, 0): 1})
-
-    @classmethod
-    def zero(cls, weight_x: int, weight_y: int, max_weight: int) -> BiSeries:
-        return cls.from_terms(weight_x, weight_y, max_weight, {})
-
     @property
     def j_limit(self) -> int:
         return self.max_weight // self.weight_x
@@ -198,29 +138,6 @@ class BiSeries:
         ]
         return BiSeries(self.weight_x, self.weight_y, max_weight, tuple(rows))
 
-    def _check_weights(self, other: BiSeries) -> None:
-        if (self.weight_x, self.weight_y) != (other.weight_x, other.weight_y):
-            raise WeightMismatch(
-                f"weights {(self.weight_x, self.weight_y)} vs "
-                f"{(other.weight_x, other.weight_y)}"
-            )
-
-    def __neg__(self) -> BiSeries:
-        rows = tuple(tuple(-c for c in row) for row in self.coeffs)
-        return BiSeries(self.weight_x, self.weight_y, self.max_weight, rows)
-
-    def __add__(self, other: BiSeries) -> BiSeries:
-        self._check_weights(other)
-        w = min(self.max_weight, other.max_weight)
-        a, b = self.truncate(w), other.truncate(w)
-        rows = tuple(
-            tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.coeffs, b.coeffs)
-        )
-        return BiSeries(self.weight_x, self.weight_y, w, rows)
-
-    def __sub__(self, other: BiSeries) -> BiSeries:
-        return self + (-other)
-
     def substitute_x(self) -> UniSeries:
         """Evaluate at x = y**2, valid for weights (2, 1) only.
 
@@ -239,13 +156,6 @@ class BiSeries:
     def slice_x(self, j: int) -> UniSeries:
         """The series in y multiplying x**j, exact where the bound allows."""
         return UniSeries(self.k_limit(j), self.coeffs[j])
-
-    def slice_y(self, k: int) -> UniSeries:
-        """The series in x multiplying y**k, exact where the bound allows."""
-        if k < 0 or k * self.weight_y > self.max_weight:
-            raise IndexOutOfRange(f"y-exponent {k} is outside the weight bound")
-        jmax = (self.max_weight - k * self.weight_y) // self.weight_x
-        return UniSeries(jmax, tuple(self.coeffs[j][k] for j in range(jmax + 1)))
 
 
 def _zero_rows(weight_x: int, weight_y: int, max_weight: int) -> list[list[Coeff]]:

@@ -1,15 +1,101 @@
 """Test-only oracles that never call the library's transform or division kernels.
 
-The dense series algebra lives here, not in the library: schoolbook
-products (`uni_mul`, `bi_mul`) and term-by-term inverses (`uni_inverse`,
-`bi_inverse`) over the `UniSeries` and `BiSeries` containers.  The
-generator assemblies below use only these, so they are an independent
-reference for the division kernel; the multiset count uses no series at all.
+The dense series algebra lives here, not in the library: constructors
+(`uni_from_coeffs`, `bi_from_terms`, the ones and zeros), sums and
+differences, schoolbook products (`uni_mul`, `bi_mul`) and term-by-term
+inverses (`uni_inverse`, `bi_inverse`) over the `UniSeries` and
+`BiSeries` containers.  A sum or product is valid exactly through the
+minimum truncation of its operands.  The generator assemblies below use
+only these, so they are an independent reference for the division kernel;
+the multiset count uses no series at all.
 """
 
 from fractions import Fraction
 
-from gfenum.series import BiSeries, UniSeries, _zero_rows
+from gfenum.series import BiSeries, UniSeries, WeightMismatch, _zero_rows
+
+
+def uni_from_coeffs(coeffs, trunc_order=None):
+    """Series with the given low-order coefficients, zero-padded to fit.
+
+    Coefficients beyond an explicit ``trunc_order`` are discarded: the
+    result represents the input only through its truncation.
+    """
+    data = list(coeffs)
+    if trunc_order is None:
+        if not data:
+            raise ValueError("empty coefficient list needs an explicit truncation order")
+        trunc_order = len(data) - 1
+    data = data[: trunc_order + 1]
+    data += [0] * (trunc_order + 1 - len(data))
+    return UniSeries(trunc_order, tuple(data))
+
+
+def uni_one(trunc_order):
+    return UniSeries.from_terms(trunc_order, {0: 1})
+
+
+def uni_zero(trunc_order):
+    return UniSeries.from_terms(trunc_order, {})
+
+
+def uni_neg(a):
+    return UniSeries(a.trunc_order, tuple(-c for c in a.coeffs))
+
+
+def uni_add(a, b):
+    n = min(a.trunc_order, b.trunc_order)
+    return UniSeries(n, tuple(a.coeffs[d] + b.coeffs[d] for d in range(n + 1)))
+
+
+def uni_sub(a, b):
+    return uni_add(a, uni_neg(b))
+
+
+def bi_from_terms(weight_x, weight_y, max_weight, terms):
+    """Series of a sparse polynomial; terms outside the triangle are dropped."""
+    rows = _zero_rows(weight_x, weight_y, max_weight)
+    for (j, k), coeff in terms.items():
+        if j < 0 or k < 0:
+            raise ValueError("negative exponents are not representable")
+        if j * weight_x + k * weight_y <= max_weight:
+            rows[j][k] = coeff
+    return BiSeries(weight_x, weight_y, max_weight, rows)
+
+
+def bi_one(weight_x, weight_y, max_weight):
+    return bi_from_terms(weight_x, weight_y, max_weight, {(0, 0): 1})
+
+
+def bi_zero(weight_x, weight_y, max_weight):
+    return bi_from_terms(weight_x, weight_y, max_weight, {})
+
+
+def _check_weights(a, b):
+    if (a.weight_x, a.weight_y) != (b.weight_x, b.weight_y):
+        raise WeightMismatch(
+            f"weights {(a.weight_x, a.weight_y)} vs "
+            f"{(b.weight_x, b.weight_y)}"
+        )
+
+
+def bi_neg(a):
+    rows = tuple(tuple(-c for c in row) for row in a.coeffs)
+    return BiSeries(a.weight_x, a.weight_y, a.max_weight, rows)
+
+
+def bi_add(a, b):
+    _check_weights(a, b)
+    w = min(a.max_weight, b.max_weight)
+    a, b = a.truncate(w), b.truncate(w)
+    rows = tuple(
+        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.coeffs, b.coeffs)
+    )
+    return BiSeries(a.weight_x, a.weight_y, w, rows)
+
+
+def bi_sub(a, b):
+    return bi_add(a, bi_neg(b))
 
 
 class ZeroConstantTerm(ZeroDivisionError):
@@ -61,7 +147,7 @@ def uni_inverse(a):
 
 def bi_mul(a, b):
     """The product of two bivariate series, through the smaller weight bound."""
-    a._check_weights(b)
+    _check_weights(a, b)
     wx, wy = a.weight_x, a.weight_y
     w = min(a.max_weight, b.max_weight)
     rows = _zero_rows(wx, wy, w)
@@ -142,7 +228,7 @@ def _embed(series_in_y, j, k, max_weight):
         (j, k + t): series_in_y[t]
         for t in range(min(series_in_y.trunc_order, max_weight) + 1)
     }
-    return BiSeries.from_terms(2, 1, max_weight, terms)
+    return bi_from_terms(2, 1, max_weight, terms)
 
 
 def build_b_dense(max_weight):
@@ -158,35 +244,36 @@ def build_b_dense(max_weight):
     )
     b2 = uni_mul(base, UniSeries.from_terms(w, {0: 1, 1: 1}))
     b3 = uni_mul(base, UniSeries.from_terms(w, _one_minus(3)))
-    b4 = base - UniSeries.one(w)
+    b4 = uni_sub(base, uni_one(w))
 
-    inv_x3 = bi_inverse(BiSeries.from_terms(2, 1, w, {(0, 0): 1, (3, 0): -1}))
-    part1 = bi_mul(_embed(base, 0, 4, w) + _embed(base, 1, 3, w) + _embed(b2, 2, 2, w), inv_x3)
+    inv_x3 = bi_inverse(bi_from_terms(2, 1, w, {(0, 0): 1, (3, 0): -1}))
+    top = bi_add(bi_add(_embed(base, 0, 4, w), _embed(base, 1, 3, w)), _embed(b2, 2, 2, w))
+    part1 = bi_mul(top, inv_x3)
 
-    coupling = BiSeries.from_terms(2, 1, w, {(0, 0): 1, (0, 1): -1, (2, 0): -1})
+    coupling = bi_from_terms(2, 1, w, {(0, 0): 1, (0, 1): -1, (2, 0): -1})
     part2 = bi_mul(
-        bi_mul(_embed(b3, 3, 1, w) + _embed(b4, 4, 0, w), inv_x3), bi_inverse(coupling)
+        bi_mul(bi_add(_embed(b3, 3, 1, w), _embed(b4, 4, 0, w)), inv_x3), bi_inverse(coupling)
     )
-    return part1 + part2
+    return bi_add(part1, part2)
 
 
 def build_mzv_rhs_dense(max_weight):
     """1 - y/(1 - x) - (y**2/(1 - x**2)) * ((y**2 - x**3)/(1 - x**3)), densely."""
     w = max_weight
-    one = BiSeries.one(2, 3, w)
-    y = BiSeries.from_terms(2, 3, w, {(0, 1): 1})
-    inv_1mx = bi_inverse(BiSeries.from_terms(2, 3, w, {(0, 0): 1, (1, 0): -1}))
-    inv_1mx2 = bi_inverse(BiSeries.from_terms(2, 3, w, {(0, 0): 1, (2, 0): -1}))
-    inv_1mx3 = bi_inverse(BiSeries.from_terms(2, 3, w, {(0, 0): 1, (3, 0): -1}))
-    y2_minus_x3 = BiSeries.from_terms(2, 3, w, {(0, 2): 1, (3, 0): -1})
+    one = bi_one(2, 3, w)
+    y = bi_from_terms(2, 3, w, {(0, 1): 1})
+    inv_1mx = bi_inverse(bi_from_terms(2, 3, w, {(0, 0): 1, (1, 0): -1}))
+    inv_1mx2 = bi_inverse(bi_from_terms(2, 3, w, {(0, 0): 1, (2, 0): -1}))
+    inv_1mx3 = bi_inverse(bi_from_terms(2, 3, w, {(0, 0): 1, (3, 0): -1}))
+    y2_minus_x3 = bi_from_terms(2, 3, w, {(0, 2): 1, (3, 0): -1})
     tail = bi_mul(bi_mul(bi_mul(bi_mul(y, y), inv_1mx2), y2_minus_x3), inv_1mx3)
-    return one - bi_mul(y, inv_1mx) - tail
+    return bi_sub(bi_sub(one, bi_mul(y, inv_1mx)), tail)
 
 
 def build_eul_rhs_dense(max_weight):
     """1 - y/(1 - x), densely."""
     w = max_weight
-    one = BiSeries.one(2, 3, w)
-    y = BiSeries.from_terms(2, 3, w, {(0, 1): 1})
-    inv_1mx = bi_inverse(BiSeries.from_terms(2, 3, w, {(0, 0): 1, (1, 0): -1}))
-    return one - bi_mul(y, inv_1mx)
+    one = bi_one(2, 3, w)
+    y = bi_from_terms(2, 3, w, {(0, 1): 1})
+    inv_1mx = bi_inverse(bi_from_terms(2, 3, w, {(0, 0): 1, (1, 0): -1}))
+    return bi_sub(one, bi_mul(y, inv_1mx))

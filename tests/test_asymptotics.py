@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,28 @@ class TestGrowthConstant:
 
     def test_constant_bits_are_pinned(self):
         assert growth_constant().hex() == "0x1.1006e9d09c523p+0"
+
+    def test_pinned_constant_is_one_ulp_above_the_certified_value(self):
+        # bracket r * 2**200 between consecutive integers by bisection on
+        # r**4 - r**3 - 1, then evaluate the residue C = A(1/r) * r**4 / (r**3 + 4),
+        # A(y) = (22y**3 + 46y**2 + 16y + 51)/49, exactly at both ends
+        scale = 1 << 200
+        lo, hi = scale, 2 * scale
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if mid ** 4 - mid ** 3 * scale - scale ** 4 < 0:
+                lo = mid
+            else:
+                hi = mid
+
+        def residue(r):
+            y = 1 / r
+            return (22 * y ** 3 + 46 * y ** 2 + 16 * y + 51) / 49 * r ** 4 / (r ** 3 + 4)
+
+        ends = [float(residue(Fraction(n, scale))) for n in (lo, hi)]
+        certified = float.fromhex("0x1.1006e9d09c522p+0")
+        assert ends == [certified, certified]
+        assert growth_constant() == math.nextafter(certified, math.inf)
 
     def test_series_extrapolation_route_agrees(self):
         assert abs(growth_constant_from_series() - growth_constant()) < 1e-10

@@ -129,10 +129,24 @@ class TestExitCodes:
         assert err.splitlines()[-1] == expected
         assert run_cli(capsys, command, flag, str(minimum))[0] == 0
 
-    def test_the_parser_enforces_the_asymptote_maximum(self, capsys):
-        code, out, err = run_cli(capsys, "asymptote", "--max-degree", "2203")
+    @pytest.mark.parametrize(
+        "command, flag, maximum",
+        [
+            ("beta", "--max-degree", 1000),
+            ("primitives", "--max-degree", 20000),
+            ("knots", "--max-degree", 2000),
+            ("framed", "--max-degree", 2000),
+            ("mzv", "--max-weight", 300),
+            ("asymptote", "--max-degree", 2202),
+        ],
+    )
+    @pytest.mark.parametrize("excess", ["one", "huge"])
+    def test_the_parser_enforces_each_maximum_size(self, capsys, command, flag, maximum, excess):
+        # rejected by the parser, so no size near the limit is ever computed
+        size = maximum + 1 if excess == "one" else 10 ** 23
+        code, out, err = run_cli(capsys, command, flag, str(size))
         assert code == 2 and out == ""
-        expected = "gfenum asymptote: error: argument --max-degree: must be <= 2202"
+        expected = f"gfenum {command}: error: argument {flag}: must be <= {maximum}"
         assert err.splitlines()[-1] == expected
         assert "Traceback" not in err
 

@@ -11,7 +11,7 @@ from gfenum.mzv import (
     build_mzv_rhs,
     mzv_counts,
 )
-from gfenum.series import BiSeries, IndexOutOfRange, UniSeries
+from gfenum.series import IndexOutOfRange, UniSeries
 from gfenum.transforms import (
     PRODUCT_PLAIN,
     NonIntegerExponent,
@@ -21,7 +21,7 @@ from gfenum.transforms import (
 )
 
 from literals import DEPTH_DIAGONAL_7
-from oracles import build_eul_rhs_dense, build_mzv_rhs_dense
+from oracles import bi_from_terms, build_eul_rhs_dense, build_mzv_rhs_dense
 
 
 class TestGenerators:
@@ -59,6 +59,12 @@ class TestCounts:
         # the depth-4 irreducible is traded for an extra depth-2 Euler sum
         assert counts.mzv_count(12, 2) == 1
         assert counts.euler_count(12, 2) == 2
+
+    def test_counts_are_prefix_stable(self):
+        # the log-derivative peel visits monomials by increasing weight
+        deep, shallow = mzv_counts(60), mzv_counts(30)
+        assert {k: v for k, v in deep.mzv.items() if k[0] <= 30} == shallow.mzv
+        assert {k: v for k, v in deep.euler.items() if k[0] <= 30} == shallow.euler
 
     def test_tables_agree_through_weight_eleven(self):
         counts = mzv_counts(23)
@@ -156,6 +162,6 @@ class TestConsistencyGuards:
             _cross_check_diagonals(MzvCounts(23, broken, counts.euler))
 
     def test_fractional_input_propagates(self):
-        series = BiSeries.from_terms(2, 3, 9, {(0, 0): 1, (0, 1): Fraction(1, 2)})
+        series = bi_from_terms(2, 3, 9, {(0, 0): 1, (0, 1): Fraction(1, 2)})
         with pytest.raises(NonIntegerExponent):
             peel_bi(series, PRODUCT_PLAIN)

@@ -3,31 +3,21 @@ import pytest
 import gfenum
 from gfenum.series import BiSeries, IndexOutOfRange, UniSeries, WeightMismatch
 
+from oracles import bi_from_terms, bi_one, bi_zero, uni_one, uni_zero
+
 
 class TestUniSeries:
     def test_read_outside_truncation_is_an_error(self):
-        a = UniSeries.one(4)
+        a = uni_one(4)
         with pytest.raises(IndexOutOfRange):
             a[5]
         with pytest.raises(IndexOutOfRange):
             a[-1]
 
-    def test_results_take_minimum_truncation(self):
-        a, b = UniSeries.one(9), UniSeries.one(4)
-        assert (a + b).trunc_order == 4
-
 
 class TestBiSeries:
-    def test_results_take_minimum_weight(self):
-        a, b = BiSeries.one(2, 1, 9), BiSeries.one(2, 1, 4)
-        assert (a + b).max_weight == 4
-
-    def test_sum_weight_mismatch(self):
-        with pytest.raises(WeightMismatch):
-            BiSeries.one(2, 1, 6) + BiSeries.one(2, 3, 6)
-
     def test_read_outside_triangle_is_an_error(self):
-        a = BiSeries.one(2, 1, 6)
+        a = bi_one(2, 1, 6)
         with pytest.raises(IndexOutOfRange):
             a[(2, 3)]  # weight 7 > 6
         with pytest.raises(IndexOutOfRange):
@@ -36,42 +26,50 @@ class TestBiSeries:
 
 class TestSubstitution:
     def test_monomial_maps_to_total_weight(self):
-        a = BiSeries.from_terms(2, 1, 5, {(1, 1): 1})
+        a = bi_from_terms(2, 1, 5, {(1, 1): 1})
         assert a.substitute_x() == UniSeries.from_terms(5, {3: 1})
 
     def test_zero_maps_to_zero(self):
-        assert BiSeries.zero(2, 1, 5).substitute_x() == UniSeries.zero(5)
+        assert bi_zero(2, 1, 5).substitute_x() == uni_zero(5)
 
     def test_requires_weights_two_one(self):
         with pytest.raises(WeightMismatch):
-            BiSeries.one(2, 3, 6).substitute_x()
+            bi_one(2, 3, 6).substitute_x()
 
 
 class TestSlices:
     def test_slice_of_zero_series(self):
-        z = BiSeries.zero(2, 1, 6)
-        assert z.slice_x(1) == UniSeries.zero(4)
-        assert z.slice_y(2) == UniSeries.zero(2)
+        assert bi_zero(2, 1, 6).slice_x(1) == uni_zero(4)
 
     def test_slice_truncations_follow_weight_budget(self):
-        a = BiSeries.one(2, 1, 9)
+        a = bi_one(2, 1, 9)
         assert a.slice_x(0).trunc_order == 9
         assert a.slice_x(3).trunc_order == 3
-        assert a.slice_y(5).trunc_order == 2
 
     def test_slice_index_out_of_range(self):
-        a = BiSeries.one(2, 1, 6)
         with pytest.raises(IndexOutOfRange):
-            a.slice_x(4)
-        with pytest.raises(IndexOutOfRange):
-            a.slice_y(7)
+            bi_one(2, 1, 6).slice_x(4)
 
 
 class TestContainersOnly:
+    # series are expanded by the kernels; their algebra and the constructors
+    # that only tests need are plain functions in the test oracles
+    REMOVED = {
+        UniSeries: ("from_coeffs", "one", "zero", "__add__", "__sub__", "__neg__"),
+        BiSeries: (
+            "from_terms", "one", "zero", "__add__", "__sub__", "__neg__", "slice_y",
+            "_check_weights",
+        ),
+    }
+
     def test_the_library_has_no_dense_algebra(self):
-        # series are expanded by the kernels; products and inverses are test oracles
         for cls in (UniSeries, BiSeries):
             for name in ("__mul__", "__truediv__", "inverse"):
                 assert not hasattr(cls, name), (cls.__name__, name)
         assert not hasattr(gfenum, "ZeroConstantTerm")
         assert "ZeroConstantTerm" not in gfenum.__all__
+
+    @pytest.mark.parametrize("cls", [UniSeries, BiSeries], ids=lambda cls: cls.__name__)
+    def test_the_containers_have_no_arithmetic_or_test_only_constructors(self, cls):
+        for name in self.REMOVED[cls]:
+            assert not hasattr(cls, name), (cls.__name__, name)
