@@ -38,8 +38,6 @@ from .transforms import (
     NonIntegerExponent,
     NonUnitConstant,
     euler_expand,
-    expand_exponents_bi,
-    expand_exponents_uni,
     peel_bi,
     peel_uni,
 )
@@ -85,8 +83,6 @@ __all__ = [
     "build_eul_rhs",
     "build_mzv_rhs",
     "euler_expand",
-    "expand_exponents_bi",
-    "expand_exponents_uni",
     "floor_formula_col0",
     "floor_formula_diag1",
     "floor_formula_diag2",

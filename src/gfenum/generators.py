@@ -165,11 +165,6 @@ class BetaTable:
             return [self.get(1, 2)]
         return [self.get(m, u) for u in range(2, m + 1, 2)]
 
-    def primitive_count(self, m: int) -> int:
-        if m < 1:
-            raise ValueError("primitive counts start at degree 1")
-        return sum(self.tally_terms(m))
-
 
 @lru_cache(maxsize=None)
 def beta_table(max_m: int) -> BetaTable:
@@ -220,17 +215,12 @@ def g_series(k: int, trunc_order: int) -> UniSeries:
     return UniSeries(trunc_order, tuple(map(sum, zip(*rows))))
 
 
-def h_series(j: int, trunc_order: int, orientable_only: bool = False) -> UniSeries:
-    """Column generator: coefficient k is beta(2j + k, 2j) - 1, for j <= 3.
-
-    With ``orientable_only`` the 1/(1 - y**3) factor is dropped, giving the
-    variant that matches the contributions from orientable surfaces.
-    """
+def h_series(j: int, trunc_order: int) -> UniSeries:
+    """Column generator: coefficient k is beta(2j + k, 2j) - 1, for j <= 3."""
     if not 0 <= j <= 3:
         raise UnsupportedColumn(f"no closed form for column j={j}")
     numerator = ({4: 1}, {3: 1}, {2: 1, 3: 1}, {1: 1, 2: 1, 3: 1, 4: 1})[j]
-    degrees = (1, 2) if orientable_only else (1, 2, 3)
-    return _expand_uni(numerator, map(_one_minus, degrees), trunc_order)
+    return _expand_uni(numerator, map(_one_minus, (1, 2, 3)), trunc_order)
 
 
 def floor_formula_diag1(j: int) -> int:

@@ -1,16 +1,19 @@
-"""Euler transform and its inverse, product peeling, over one or two gradings.
+"""Euler transform and its inverse, product peeling.
 
-The Euler transform maps graded exponents {e_n} to the series
-prod_n (1 - m_n)**(-e_n) over monomials m_n; with nonnegative exponents
-its coefficients count multisets of graded objects.  Peeling inverts it:
-given a series with constant term 1 it recovers the exponents.  Two sign
-conventions are supported, a product of inverse factors and a plain
-product; they differ by one negation of the exponent family.
+The Euler transform maps graded exponents {e_m} to the series
+prod_m (1 - y**m)**(-e_m); with nonnegative exponents its coefficients
+count multisets of graded objects.  `euler_expand` is its one entry
+point, turning the primitive counts P_m into V_m and F_m.  Peeling
+inverts it over one grading (`peel_uni`) or two (`peel_bi`, monomials
+x**j * y**d): given a series with constant term 1 it recovers the
+exponents.  The peel takes two sign conventions, a product of inverse
+factors and a plain product; they differ by one negation of the exponent
+family.
 
 Exponent families are plain mappings, ``{degree: exponent}`` for one
-grading and ``{(j, d): exponent}`` for monomials x**j * y**d in two.
-Absent indices mean zero.  A one-grading series is the j = 0 row of a
-two-grading grid, so one pair of kernels serves both.
+grading and ``{(j, d): exponent}`` for two.  Absent indices mean zero.
+A one-grading series is the j = 0 row of a two-grading grid, so the
+forward kernel and the peel share one grid and its helpers.
 
 Both kernels use the log-derivative recurrence of Bernstein and Sloane
 ("Some canonical sequences of integers", 1995), generalised to a weighted
@@ -95,15 +98,11 @@ def _add_to_multiples(rows: list[list[Coeff]], j: int, d: int, value: Coeff) -> 
 def _euler(
     exponents: Mapping[Monomial, int], weight_x: int, weight_y: int, max_weight: int
 ) -> list[list[Coeff]]:
-    """Coefficient rows of prod_n (1 - x**j * y**d)**(-e_n), n = (j, d)."""
-    if weight_x < 1 or weight_y < 1 or max_weight < 0:
-        raise ValueError(
-            f"grid needs weights >= 1 and a bound >= 0, got ({weight_x}, {weight_y}, {max_weight})"
-        )
+    """Coefficient rows of prod_n (1 - x**j * y**d)**(-e_n), n = (j, d) != (0, 0)."""
+    if max_weight < 0:
+        raise ValueError(f"grid needs a weight bound >= 0, got {max_weight}")
     c = _zero_rows(weight_x, weight_y, max_weight)
     for (j, d), e in exponents.items():
-        if j < 0 or d < 0 or j == d == 0:
-            raise ValueError(f"exponent key {(j, d)} is not a positively graded monomial")
         _add_to_multiples(c, j, d, (weight_x * j + weight_y * d) * e)
     a = _zero_rows(weight_x, weight_y, max_weight)
     a[0][0] = 1
@@ -149,26 +148,6 @@ def euler_expand(exponents: Mapping[int, int], min_degree: int, trunc_order: int
     keyed = {(0, m): e for m, e in exponents.items() if m >= min_degree}
     (row,) = _euler(keyed, trunc_order + 1, 1, trunc_order)
     return UniSeries(trunc_order, tuple(row))
-
-
-def expand_exponents_uni(exponents: Mapping[int, int], trunc_order: int, form: str) -> UniSeries:
-    """Re-expand a peeled exponent family, in either sign convention."""
-    keyed = {(0, m): e for m, e in exponents.items()}
-    return expand_exponents_bi(keyed, trunc_order + 1, 1, trunc_order, form).slice_x(0)
-
-
-def expand_exponents_bi(
-    exponents: Mapping[Monomial, int],
-    weight_x: int,
-    weight_y: int,
-    max_weight: int,
-    form: str,
-) -> BiSeries:
-    """Re-expand a bivariate exponent family over monomials x**j * y**d."""
-    sign = _sign(form)
-    signed = {jd: sign * e for jd, e in exponents.items()}
-    rows = _euler(signed, weight_x, weight_y, max_weight)
-    return BiSeries(weight_x, weight_y, max_weight, rows)
 
 
 def peel_uni(series: UniSeries, form: str) -> dict[int, int]:

@@ -25,6 +25,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from importlib.resources import files
+from math import isfinite
 from pathlib import Path
 
 from .asymptotics import growth_constant, growth_root
@@ -109,7 +110,7 @@ def resolve_data_path(data_path: str | os.PathLike | None = None):
 
 def load_reference(path) -> list[ReferenceEntry]:
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a leading BOM is not part of line 1
     except UnicodeDecodeError as exc:
         raise ReferenceFormatError(f"{path}: not UTF-8: {exc}") from exc
     entries = []
@@ -219,6 +220,8 @@ def _evaluate(entry: ReferenceEntry) -> ClaimResult:
         if entry.kind == "decimal_constant":
             value_text, tol_text = entry.payload.split(",")
             expected, tol = float(value_text), float(tol_text)
+            if not (isfinite(expected) and isfinite(tol) and tol >= 0):
+                raise ValueError(f"need a finite value and tolerance >= 0, got {entry.payload!r}")
             ok = abs(actual - expected) <= tol
             return ClaimResult(entry.claim_id, ok, value_text, repr(actual))
 

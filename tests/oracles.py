@@ -4,7 +4,8 @@ The dense series algebra lives here, not in the library: constructors
 (`uni_from_coeffs`, `bi_from_terms`, the ones and zeros), sums and
 differences, schoolbook products (`uni_mul`, `bi_mul`) and term-by-term
 inverses (`uni_inverse`, `bi_inverse`) over the `UniSeries` and
-`BiSeries` containers.  A sum or product is valid exactly through the
+`BiSeries` containers, and the forward Euler product built from them
+(`product_oracle`).  A sum or product is valid exactly through the
 minimum truncation of its operands.  The generator assemblies below use
 only these, so they are an independent reference for the division kernel;
 the multiset count uses no series at all.
@@ -183,6 +184,23 @@ def bi_inverse(a):
                         acc += x * out[j - j1][k - k1]
             out[j][k] = _norm(-inv0 * acc)
     return BiSeries(wx, wy, w, tuple(tuple(r) for r in out))
+
+
+def product_oracle(exponents, weight_x, weight_y, max_weight, sign):
+    """prod (1 - x**j * y**d)**(sign * e) over ``{(j, d): e}``, multiplied out densely.
+
+    A factor whose power is negative is inverted first, so this is the
+    forward Euler product of either sign convention with no transform
+    kernel involved.
+    """
+    product = bi_one(weight_x, weight_y, max_weight)
+    for (j, d), e in exponents.items():
+        factor = bi_from_terms(weight_x, weight_y, max_weight, {(0, 0): 1, (j, d): -1})
+        if sign * e < 0:
+            factor = bi_inverse(factor)
+        for _ in range(abs(e)):
+            product = bi_mul(product, factor)
+    return product
 
 
 def multiset_oracle(exponents, min_degree, target):

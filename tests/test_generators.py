@@ -99,7 +99,7 @@ class TestBetaTable:
     def test_row_sums_match_primitive_counts(self):
         table = beta_table(20)
         for m in range(1, 21):
-            assert table.primitive_count(m) == P20[m - 1]
+            assert sum(table.tally_terms(m)) == P20[m - 1]
 
     def test_tally_rows(self):
         table = beta_table(20)
@@ -137,13 +137,6 @@ class TestDiagonalsAndColumns:
     def test_column_values(self):
         assert h_series(1, 11)[11] == 10  # beta(13, 2) = 11
         assert h_series(0, 12)[12] == 10  # beta(12, 0) = 11
-
-    def test_orientable_variant(self):
-        assert h_series(1, 3, orientable_only=True)[3] == 1
-        # dropping a factor with nonnegative expansion can only shrink terms
-        full = h_series(2, 12)
-        orientable = h_series(2, 12, orientable_only=True)
-        assert all(orientable[k] <= full[k] for k in range(13))
 
     def test_no_closed_forms_beyond_the_fitted_range(self):
         with pytest.raises(UnsupportedDiagonal):
@@ -200,8 +193,8 @@ class TestPrimitiveSeries:
         gap = p_closed(12)
         table = beta_table(12)
         for m in range(1, 13):
-            assert gap[m] == table.primitive_count(m) - 1
-            assert table.primitive_count(m) == sum(TABLE1[m][1:])
+            assert gap[m] == sum(table.tally_terms(m)) - 1
+            assert sum(table.tally_terms(m)) == sum(TABLE1[m][1:])
 
 
 class TestExpandUni:

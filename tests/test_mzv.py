@@ -15,13 +15,13 @@ from gfenum.series import IndexOutOfRange, UniSeries
 from gfenum.transforms import (
     PRODUCT_PLAIN,
     NonIntegerExponent,
-    expand_exponents_bi,
+    euler_expand,
     peel_bi,
     peel_uni,
 )
 
 from literals import DEPTH_DIAGONAL_7
-from oracles import bi_from_terms, build_eul_rhs_dense, build_mzv_rhs_dense
+from oracles import bi_from_terms, build_eul_rhs_dense, build_mzv_rhs_dense, product_oracle
 
 
 class TestGenerators:
@@ -95,6 +95,19 @@ class TestCounts:
                 counts.euler_count(w, d) for d in depths
             ), w
 
+    def test_forgetting_depth_gives_the_padovan_numbers(self):
+        # Y = 1 (Broadhurst-Kreimer): with D_2 = 1 for zeta(2), the Euler
+        # transform of the depth sums is Zagier's 1/(1 - X**2 - X**3)
+        padovan = [1, 0, 1]
+        while len(padovan) <= 60:
+            padovan.append(padovan[-2] + padovan[-3])
+        counts = mzv_counts(60)
+        for table in (counts.mzv, counts.euler):
+            depth_sums = {2: 1}
+            for (w, _), e in table.items():
+                depth_sums[w] = depth_sums.get(w, 0) + e
+            assert list(euler_expand(depth_sums, 1, 60).coeffs) == padovan
+
     def test_depth_one_counts(self):
         counts = mzv_counts(23)
         assert [counts.mzv_count(w, 1) for w in range(3, 22, 2)] == [1] * 10
@@ -118,7 +131,7 @@ class TestCounts:
         counts = mzv_counts(23)
         for table, rhs in ((counts.mzv, build_mzv_rhs(23)), (counts.euler, build_eul_rhs(23))):
             exponents = {((w - 3 * d) // 2, d): e for (w, d), e in table.items() if e}
-            assert expand_exponents_bi(exponents, 2, 3, 23, PRODUCT_PLAIN) == rhs
+            assert product_oracle(exponents, 2, 3, 23, 1) == rhs  # plain product: power +e
 
 
 class TestDepthDiagonal:

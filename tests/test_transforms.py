@@ -14,8 +14,6 @@ from gfenum.transforms import (
     NonIntegerExponent,
     NonUnitConstant,
     euler_expand,
-    expand_exponents_bi,
-    expand_exponents_uni,
     peel_bi,
     peel_uni,
 )
@@ -23,11 +21,9 @@ from gfenum.transforms import (
 from literals import DEPTH_DIAGONAL_7, F20, V20
 from oracles import (
     bi_from_terms,
-    bi_inverse,
-    bi_mul,
-    bi_one,
     bi_zero,
     multiset_oracle,
+    product_oracle,
     uni_from_coeffs,
     uni_inverse,
     uni_one,
@@ -50,15 +46,17 @@ def naive_product_expansion(exponents, trunc):
     return coeffs
 
 
+# the power of each factor (1 - m_n) is SIGN[form] * e_n
+SIGN = {PRODUCT_OF_INVERSES: -1, PRODUCT_PLAIN: 1}
+
 BI_WEIGHT = 16
 
 
-def bi_families(positive_depth):
-    # exponent families over weight-(2, 3) monomials up to weight BI_WEIGHT,
-    # optionally including pure-x monomials, with either sign of exponent
-    min_d = 1 if positive_depth else 0
-    keys = st.tuples(st.integers(0, 8), st.integers(min_d, 5)).filter(
-        lambda jd: jd != (0, 0) and 2 * jd[0] + 3 * jd[1] <= BI_WEIGHT
+def bi_families():
+    # exponent families over weight-(2, 3) monomials of positive depth up
+    # to weight BI_WEIGHT, with either sign of exponent
+    keys = st.tuples(st.integers(0, 8), st.integers(1, 5)).filter(
+        lambda jd: 2 * jd[0] + 3 * jd[1] <= BI_WEIGHT
     )
     return st.dictionaries(keys, st.integers(-3, 3).filter(bool), max_size=5)
 
@@ -102,39 +100,12 @@ class TestEulerExpand:
         kept = {m: e for m, e in exponents.items() if m >= min_degree}
         series = euler_expand(exponents, min_degree, 14)
         assert list(series.coeffs) == naive_product_expansion(kept, 14)
-        inverse_form = expand_exponents_uni(kept, 14, PRODUCT_OF_INVERSES)
-        assert list(inverse_form.coeffs) == naive_product_expansion(kept, 14)
-
-
-class TestOutOfGradingKeys:
-    @pytest.mark.parametrize("degree", [0, -2])
-    @pytest.mark.parametrize("form", [PRODUCT_OF_INVERSES, PRODUCT_PLAIN])
-    def test_uni_nonpositive_degree_rejected(self, degree, form):
-        # degree 0 used to divide by zero; degree -2 used to return the zero series
-        with pytest.raises(ValueError):
-            expand_exponents_uni({degree: 1}, 5, form)
-
-    @pytest.mark.parametrize("key", [(0, 0), (-1, 2), (1, -1)])
-    def test_bi_key_outside_positive_grading_rejected(self, key):
-        with pytest.raises(ValueError):
-            expand_exponents_bi({key: 1}, 2, 3, 12, PRODUCT_PLAIN)
 
 
 class TestGridValidation:
     def test_negative_truncation_order_rejected(self):
         with pytest.raises(ValueError, match="grid"):
             euler_expand({1: 1}, 1, -1)
-        with pytest.raises(ValueError, match="grid"):
-            expand_exponents_uni({1: 1}, -1, PRODUCT_PLAIN)
-
-    def test_negative_weight_bound_rejected(self):
-        with pytest.raises(ValueError, match="grid"):
-            expand_exponents_bi({(0, 1): 1}, 2, 3, -1, PRODUCT_PLAIN)
-
-    @pytest.mark.parametrize("weights", [(0, 3), (2, 0)])
-    def test_zero_weight_rejected(self, weights):
-        with pytest.raises(ValueError, match="grid"):
-            expand_exponents_bi({(1, 1): 1}, *weights, 12, PRODUCT_PLAIN)
 
 
 class TestPeelUni:
@@ -151,7 +122,7 @@ class TestPeelUni:
     def test_reexpansion_reproduces_the_input(self):
         generator = uni_inverse(UniSeries.from_terms(12, {0: 1, 1: -1, 4: -1}))
         exponents = peel_uni(generator, PRODUCT_OF_INVERSES)
-        assert expand_exponents_uni(exponents, 12, PRODUCT_OF_INVERSES) == generator
+        assert euler_expand(exponents, 1, 12) == generator
         # and against arithmetic that never touches the library expander
         assert list(generator.coeffs) == naive_product_expansion(exponents, 12)
 
@@ -184,7 +155,8 @@ class TestPeelUni:
     )
     @settings(deadline=None)
     def test_roundtrip_property(self, exponents, form):
-        series = expand_exponents_uni(exponents, 12, form)
+        keyed = {(0, m): e for m, e in exponents.items()}
+        series = product_oracle(keyed, 13, 1, 12, SIGN[form]).slice_x(0)
         assert peel_uni(series, form) == exponents
 
 
@@ -197,7 +169,7 @@ class TestPeelBi:
                 d = rng.randint(1, 4)
                 j = rng.randint(0, (18 - 3 * d) // 2)
                 exponents[(j, d)] = rng.randint(1, 5)
-            series = expand_exponents_bi(exponents, 2, 3, 18, PRODUCT_PLAIN)
+            series = product_oracle(exponents, 2, 3, 18, SIGN[PRODUCT_PLAIN])
             assert peel_bi(series, PRODUCT_PLAIN) == exponents
 
     def test_constant_term_must_be_one(self):
@@ -214,28 +186,11 @@ class TestPeelBi:
         with pytest.raises(NonIntegerExponent):
             peel_bi(series)
 
-    @given(bi_families(positive_depth=True), st.sampled_from([PRODUCT_OF_INVERSES, PRODUCT_PLAIN]))
+    @given(bi_families(), st.sampled_from([PRODUCT_OF_INVERSES, PRODUCT_PLAIN]))
     @settings(deadline=None)
     def test_roundtrip_property(self, exponents, form):
-        series = expand_exponents_bi(exponents, 2, 3, BI_WEIGHT, form)
+        series = product_oracle(exponents, 2, 3, BI_WEIGHT, SIGN[form])
         assert peel_bi(series, form) == exponents
-
-
-class TestExpandBi:
-    @given(bi_families(positive_depth=False), st.sampled_from([PRODUCT_OF_INVERSES, PRODUCT_PLAIN]))
-    @settings(deadline=None)
-    def test_matches_factor_product_oracle(self, exponents, form):
-        # (1 - x**j * y**d)**power multiplied out with the dense series
-        # algebra, inverting the factor for negative powers
-        sign = -1 if form == PRODUCT_OF_INVERSES else 1
-        oracle = bi_one(2, 3, BI_WEIGHT)
-        for (j, d), e in exponents.items():
-            factor = bi_from_terms(2, 3, BI_WEIGHT, {(0, 0): 1, (j, d): -1})
-            if sign * e < 0:
-                factor = bi_inverse(factor)
-            for _ in range(abs(e)):
-                oracle = bi_mul(oracle, factor)
-        assert expand_exponents_bi(exponents, 2, 3, BI_WEIGHT, form) == oracle
 
 
 class TestMultisetOracle:

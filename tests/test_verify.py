@@ -131,6 +131,13 @@ class TestFileFormat:
         with pytest.raises(ReferenceFormatError, match="bad.tsv: not UTF-8"):
             load_reference(bad)
 
+    def test_a_leading_byte_order_mark_is_not_part_of_the_first_line(self, tmp_path):
+        marked = tmp_path / "bom.tsv"
+        marked.write_bytes(b"\xef\xbb\xbf" + default_data_path().read_bytes())
+        assert load_reference(marked) == load_reference(default_data_path())
+        report = run_all(marked)
+        assert report.ok and report.passed == 91
+
     def test_comments_and_blanks_are_skipped(self, tmp_path):
         ok = tmp_path / "ok.tsv"
         ok.write_text("# comment\n\nconst:r\tx\tdecimal_constant\t1.38027756909761,1e-12\n")
@@ -170,6 +177,11 @@ class TestMalformedPayloads:
             "table1:m12:u06\tx\texact_value\tfifteen",
             "table1:m12:u06\tx\tsequence\t15",
             "seq:P\tx\tlower_bound\t5",
+            # a value or tolerance that is not finite, or a negative tolerance
+            "const:C\tx\tdecimal_constant\t99.0,inf",
+            "const:C\tx\tdecimal_constant\tinf,inf",
+            "const:C\tx\tdecimal_constant\t1.06,nan",
+            "const:C\tx\tdecimal_constant\t1.06,-1e-3",
         ],
     )
     def test_an_unparsable_or_mismatched_payload_fails_only_its_claim(self, tmp_path, line):
