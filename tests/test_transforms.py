@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfenum.generators import primitive_counts
-from gfenum.series import UniSeries
+from gfenum.series import BiSeries, UniSeries
 from gfenum.transforms import (
     PRODUCT_OF_INVERSES,
     PRODUCT_PLAIN,
@@ -102,10 +102,29 @@ class TestEulerExpand:
         assert list(series.coeffs) == naive_product_expansion(kept, 14)
 
 
+class TestOutOfGradingKeys:
+    @pytest.mark.parametrize("degree", [0, -2])
+    def test_uni_nonpositive_degree_rejected(self, degree):
+        # the grading starts at degree 1; a factor (1 - y**0) has no
+        # multiples that leave the grid
+        with pytest.raises(ValueError, match="min_degree"):
+            euler_expand({degree: 1}, degree, 5)
+
+
 class TestGridValidation:
     def test_negative_truncation_order_rejected(self):
         with pytest.raises(ValueError, match="grid"):
             euler_expand({1: 1}, 1, -1)
+
+    # the peel reads its grid off a BiSeries, whose construction checks it
+    def test_negative_weight_bound_rejected(self):
+        with pytest.raises(ValueError, match="max_weight"):
+            BiSeries(2, 3, -1, ())
+
+    @pytest.mark.parametrize("weights", [(0, 3), (2, 0)])
+    def test_zero_weight_rejected(self, weights):
+        with pytest.raises(ValueError, match="weights"):
+            BiSeries(*weights, 12, ((1,),))
 
 
 class TestPeelUni:
