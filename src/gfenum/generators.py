@@ -19,9 +19,10 @@ agree coefficient for coefficient; `verify` enforces that.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from functools import lru_cache, wraps
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .series import BiSeries, IndexOutOfRange, UniSeries, _zero_rows
 
@@ -36,6 +37,55 @@ class UnsupportedColumn(ValueError):
 
 Poly = Mapping[int, int]
 Terms = Mapping[tuple[int, int], int]  # {(j, d): coeff} for monomials x**j * y**d
+
+_CacheInfo = namedtuple("_CacheInfo", "hits misses currsize")
+
+
+def _grown(cut: Callable, name: str, least: int):
+    """Memoise a prefix-stable expansion by size, growing one expansion by doubling.
+
+    The first call expands exactly its size; a size above the largest
+    expansion so far expands max(size, 2 * largest) once; a smaller one
+    is ``cut(largest, size)``, never expanded.  Every value served is
+    memoised, so a revisit is one dict lookup.  A size below ``least``
+    raises before the cache is read.  ``cache_info()`` and
+    ``cache_clear()`` act as on ``functools.lru_cache``; a clear also
+    drops the largest expansion.
+    """
+
+    def decorate(expand):
+        served = {}
+        hits = misses = 0
+        largest = -1  # no expansion yet, so the first one is exactly its size
+
+        @wraps(expand)
+        def grown(size):
+            nonlocal hits, misses, largest
+            if size < least:
+                raise ValueError(f"{name} must be >= {least}")
+            if size in served:
+                hits += 1
+                return served[size]
+            misses += 1
+            if size > largest:
+                top = max(size, 2 * largest)
+                served[top] = expand(top)
+                largest = top
+            if size not in served:
+                served[size] = cut(served[largest], size)
+            return served[size]
+
+        def cache_clear() -> None:
+            nonlocal hits, misses, largest
+            served.clear()
+            hits = misses = 0
+            largest = -1
+
+        grown.cache_info = lambda: _CacheInfo(hits, misses, len(served))
+        grown.cache_clear = cache_clear
+        return grown
+
+    return decorate
 
 
 def _one_minus(*degrees: int) -> dict[int, int]:
@@ -97,11 +147,9 @@ _P_NUMERATOR = {4: 1, 8: -1, 10: -1, 12: -1, 17: -1}
 _P_FACTORS = (_one_minus(1), _one_minus(2), _one_minus(3), _one_minus(6), _one_minus(1, 4))
 
 
-@lru_cache(maxsize=None)
+@_grown(UniSeries.truncate, "max_m", 1)
 def p_closed(max_m: int) -> UniSeries:
     """sum_m (P_m - 1) y**m from the closed rational form; P_m = coeff + 1."""
-    if max_m < 1:
-        raise ValueError("max_m must be >= 1")
     return _expand_uni(_P_NUMERATOR, _P_FACTORS, max_m)
 
 
@@ -119,7 +167,7 @@ _B_DENOMINATOR = (
 )
 
 
-@lru_cache(maxsize=None)
+@_grown(BiSeries.truncate, "max_weight", 0)
 def build_b(max_weight: int) -> BiSeries:
     """The conjectured two-variable generator of beta(2j + k, 2j) - 1.
 

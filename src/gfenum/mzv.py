@@ -15,10 +15,9 @@ output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping
 
-from .generators import _expand_rational, g_series
+from .generators import _expand_rational, _grown, g_series
 from .series import BiSeries, IndexOutOfRange
 from .transforms import PRODUCT_PLAIN, peel_bi
 
@@ -92,8 +91,16 @@ class MzvCounts:
     def euler_count(self, w: int, d: int) -> int:
         return self._lookup(self.euler, w, d)
 
+    def truncate(self, max_weight: int) -> MzvCounts:
+        """The tables through a smaller weight bound: both restricted to w <= max_weight."""
+        if max_weight > self.max_weight:
+            raise IndexOutOfRange(f"cannot extend weight bound {self.max_weight} to {max_weight}")
+        mzv = {key: n for key, n in self.mzv.items() if key[0] <= max_weight}
+        euler = {key: n for key, n in self.euler.items() if key[0] <= max_weight}
+        return MzvCounts(max_weight, mzv, euler)
 
-@lru_cache(maxsize=None)
+
+@_grown(MzvCounts.truncate, "max_weight", 0)
 def mzv_counts(max_weight: int) -> MzvCounts:
     """Peel both generators and return the (w, d) count tables.
 

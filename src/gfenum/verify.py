@@ -10,6 +10,8 @@ it can be audited independently of the code.  Claim kinds:
   sequence          payload is comma-separated integers, compared elementwise
   decimal_constant  payload is ``value,tolerance``, compared within tolerance
 
+Every integer is written ``-?[0-9]+``: no empty field, space, ``+`` or ``_``.
+
 Claim ids are structured (``table1:m05:u02``, ``seq:P``, ``tally:m16``,
 ``mzv:D:w23:d07``, ``const:r``, ``identity:...``).  One ordered table maps
 each id pattern to an evaluator over the library's cached tables, which
@@ -186,8 +188,15 @@ _CLAIMS = (
 )
 
 
+def _parse_int(text: str) -> int:
+    """An ASCII decimal integer with an optional minus sign, and nothing else."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_ints(payload: str) -> list[int]:
-    return [int(x) for x in payload.split(",") if x != ""]
+    return [_parse_int(x) for x in payload.split(",")]
 
 
 def _sequence_result(claim_id: str, expected: list[int], actual: list[int]) -> ClaimResult:
@@ -225,7 +234,7 @@ def _evaluate(entry: ReferenceEntry) -> ClaimResult:
             ok = abs(actual - expected) <= tol
             return ClaimResult(entry.claim_id, ok, value_text, repr(actual))
 
-        expected_int = int(entry.payload)
+        expected_int = _parse_int(entry.payload)
         if entry.kind == "lower_bound":
             ok = actual >= expected_int
         else:  # exact_value, saturated_bound

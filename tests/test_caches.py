@@ -1,0 +1,90 @@
+"""The grow-once caches of build_b, p_closed and mzv_counts are invisible.
+
+Each keeps one expansion, grown by doubling, and serves every smaller
+size as a cut of it.  Whatever order sizes are asked in, every value
+must equal the cold expansion at that size, invalid sizes must raise as
+they do cold, and cache_clear must drop everything.
+"""
+
+import random
+from unittest import mock
+
+import pytest
+
+import gfenum
+from gfenum import generators, mzv
+from gfenum.generators import build_b, p_closed
+from gfenum.mzv import mzv_counts
+from gfenum.series import IndexOutOfRange
+
+# (grown function, least valid size, kernel call that expands it, index of its size argument)
+GROWN = [
+    pytest.param(build_b, 0, (generators, "_expand_rational"), 4, id="build_b"),
+    pytest.param(p_closed, 1, (generators, "_expand_uni"), 2, id="p_closed"),
+    pytest.param(mzv_counts, 0, (mzv, "build_mzv_rhs"), 0, id="mzv_counts"),
+]
+
+
+def expanded_sizes(grown, kernel, arg, sizes):
+    """Call grown at each size from a cold cache; return the sizes the kernel expanded."""
+    grown.cache_clear()
+    with mock.patch.object(*kernel, wraps=getattr(*kernel)) as spy:
+        for size in sizes:
+            grown(size)
+    return [call.args[arg] for call in spy.call_args_list]
+
+
+@pytest.mark.parametrize("grown, least, kernel, arg", GROWN)
+class TestGrownCache:
+    def test_sweep_up_with_revisits_then_down_serves_cold_values(self, grown, least, kernel, arg):
+        rng = random.Random(13)
+        walk = []
+        for size in range(least, 41):  # past two doublings from any start
+            walk.append(size)
+            walk += [rng.randrange(least, size + 1) for _ in range(3)]
+        walk += range(40, least - 1, -1)
+        grown.cache_clear()
+        cold = {size: grown.__wrapped__(size) for size in set(walk)}
+        for size in walk:
+            assert grown(size) == cold[size], size
+
+    def test_an_upward_walk_expands_only_at_doublings(self, grown, least, kernel, arg):
+        sizes = range(max(least, 3), 41)
+        assert expanded_sizes(grown, kernel, arg, sizes) == [3, 6, 12, 24, 48]
+
+    def test_a_smaller_size_is_cut_and_memoised(self, grown, least, kernel, arg):
+        assert expanded_sizes(grown, kernel, arg, [30, 10, 20, 10, 30]) == [30]
+        assert grown.cache_info() == (2, 3, 3)  # hits, misses, currsize
+
+    def test_clear_drops_the_expansion_and_the_next_call_recomputes(
+        self, grown, least, kernel, arg
+    ):
+        grown(30)
+        grown.cache_clear()
+        assert grown.cache_info().currsize == 0
+        assert expanded_sizes(grown, kernel, arg, [20]) == [20]
+        assert grown.cache_info() == (0, 1, 1)
+
+    def test_invalid_size_raises_warm_and_cold(self, grown, least, kernel, arg):
+        grown.cache_clear()
+        for _ in ("cold", "warm"):
+            with pytest.raises(ValueError, match=f"must be >= {least}"):
+                grown(least - 1)
+            grown(30)
+
+
+def test_every_size_keyed_cache_can_be_inspected_and_cleared():
+    cached = {name for name in gfenum.__all__ if hasattr(getattr(gfenum, name), "cache_clear")}
+    sized = {"beta_table", "build_b", "p_closed", "p_from_b", "mzv_counts"}
+    assert cached == sized | {"growth_root", "growth_constant"}
+    for name in sorted(sized):
+        function = getattr(gfenum, name)
+        function(12)
+        assert function.cache_info().currsize >= 1
+        function.cache_clear()
+        assert function.cache_info().currsize == 0
+
+
+def test_mzv_counts_cut_cannot_extend():
+    with pytest.raises(IndexOutOfRange):
+        mzv_counts(12).truncate(13)

@@ -10,6 +10,8 @@ from gfenum.verify import (
     run_all,
 )
 
+from literals import P20
+
 
 def reference_lines():
     return default_data_path().read_text(encoding="utf-8").splitlines()
@@ -182,6 +184,16 @@ class TestMalformedPayloads:
             "const:C\tx\tdecimal_constant\tinf,inf",
             "const:C\tx\tdecimal_constant\t1.06,nan",
             "const:C\tx\tdecimal_constant\t1.06,-1e-3",
+            # an empty field, or an integer field int() reads but is not -?[0-9]+
+            "seq:P\tx\tsequence\t1,," + ",".join(map(str, P20[1:])),
+            "seq:P\tx\tsequence\t," + ",".join(map(str, P20)),
+            "seq:P\tx\tsequence\t" + ",".join(map(str, P20)) + ",",
+            "seq:P\tx\tsequence\t" + ", ".join(map(str, P20)),
+            "table1:m12:u06\tx\texact_value\t1_5",
+            "table1:m12:u06\tx\texact_value\t 15",
+            "table1:m12:u06\tx\texact_value\t+15",
+            "table1:m12:u06\tx\texact_value\t\u0661\u0665",
+            "table1:m12:u06\tx\tlower_bound\t1_0",
         ],
     )
     def test_an_unparsable_or_mismatched_payload_fails_only_its_claim(self, tmp_path, line):
