@@ -22,6 +22,8 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, wraps
+from itertools import accumulate
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .series import BiSeries, IndexOutOfRange, UniSeries, _zero_rows
@@ -105,8 +107,9 @@ def _expand_rational(
     time, in place: row[j][d] -= c * rows[j - fj][d - fd] for each
     nonconstant term c * x**fj * y**fd, in row-major order, so every
     source is already divided.  The factors are never multiplied together,
-    so dividing by 1 - y**k costs one addition per coefficient.  A
-    one-grading series is the j = 0 row with weights (N + 1, 1).
+    and a factor 1 - y**k or 1 - x**k is one running-sum pass over the
+    rows, one addition per coefficient at C speed.  A one-grading series
+    is the j = 0 row with weights (N + 1, 1).
     """
     if any(factor.get((0, 0)) != 1 for factor in factors):
         raise ValueError("denominator factors must have constant term 1")
@@ -119,14 +122,23 @@ def _expand_rational(
             rows[j][d] += c
     for factor in factors:
         tail = [(fj, fd, c) for (fj, fd), c in factor.items() if (fj or fd) and c]
-        for j, row in enumerate(rows):
-            terms = [(rows[j - fj], fd, c) for fj, fd, c in tail if fj <= j]
-            for d in range(len(row)):
-                acc = row[d]
-                for source, fd, c in terms:
-                    if fd <= d:
-                        acc -= c * source[d - fd]
-                row[d] = acc
+        match tail:
+            case [(0, k, -1)]:  # 1 - y**k: running sums along each residue class mod k
+                for row in rows:
+                    for r in range(min(k, len(row))):
+                        row[r::k] = accumulate(row[r::k])
+            case [(k, 0, -1)]:  # 1 - x**k: add row j - k into row j
+                for j in range(k, len(rows)):
+                    rows[j][:] = map(add, rows[j], rows[j - k])
+            case _:
+                for j, row in enumerate(rows):
+                    terms = [(rows[j - fj], fd, c) for fj, fd, c in tail if fj <= j]
+                    for d in range(len(row)):
+                        acc = row[d]
+                        for source, fd, c in terms:
+                            if fd <= d:
+                                acc -= c * source[d - fd]
+                        row[d] = acc
     return rows
 
 
@@ -292,7 +304,7 @@ def floor_formula_col0(m: int) -> int:
     return 1 + ((m - 1) ** 2 + 3) // 12
 
 
-@lru_cache(maxsize=None)
+@_grown(UniSeries.truncate, "max_m", 1)
 def p_from_b(max_m: int) -> UniSeries:
     """sum_m (P_m - 1) y**m assembled from the two-variable generator.
 
@@ -301,8 +313,6 @@ def p_from_b(max_m: int) -> UniSeries:
     repairs the "-1 per column" offset so the coefficient of y**m is
     exactly P_m - 1.
     """
-    if max_m < 1:
-        raise ValueError("max_m must be >= 1")
     b = build_b(max_m)
     correction = _expand_uni({4: 1}, [_one_minus(1), _one_minus(2)], max_m)
     rows = zip(b.substitute_x().coeffs, b.coeffs[0], correction.coeffs)

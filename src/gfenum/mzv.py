@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .generators import _expand_rational, _grown, g_series
 from .series import BiSeries, IndexOutOfRange
-from .transforms import PRODUCT_PLAIN, peel_bi
+from .transforms import _peel_rational
 
 DEPTH_DIAGONAL_CHECKED_MAX = 7
 
@@ -34,6 +34,9 @@ _MZV_NUMERATOR = {
     (3, 0): -1, (3, 1): 1, (3, 2): 1, (4, 1): 1, (5, 0): 1,
 }
 _MZV_DENOMINATOR = ({(0, 0): 1, (2, 0): -1}, {(0, 0): 1, (3, 0): -1})
+# The Euler-sum product side, 1 - y/(1 - x) = (1 - x - y)/(1 - x)
+_EUL_NUMERATOR = {(0, 0): 1, (1, 0): -1, (0, 1): -1}
+_EUL_DENOMINATOR = ({(0, 0): 1, (1, 0): -1},)
 
 
 def build_mzv_rhs(max_weight: int) -> BiSeries:
@@ -52,8 +55,7 @@ def build_mzv_rhs(max_weight: int) -> BiSeries:
 
 def build_eul_rhs(max_weight: int) -> BiSeries:
     """The product side of the Euler-sum count generator, 1 - y/(1 - x) = (1 - x - y)/(1 - x)."""
-    numerator, factor = {(0, 0): 1, (1, 0): -1, (0, 1): -1}, {(0, 0): 1, (1, 0): -1}
-    rows = _expand_rational(numerator, [factor], 2, 3, max_weight)
+    rows = _expand_rational(_EUL_NUMERATOR, _EUL_DENOMINATOR, 2, 3, max_weight)
     return BiSeries(2, 3, max_weight, rows)
 
 
@@ -102,15 +104,15 @@ class MzvCounts:
 
 @_grown(MzvCounts.truncate, "max_weight", 0)
 def mzv_counts(max_weight: int) -> MzvCounts:
-    """Peel both generators and return the (w, d) count tables.
+    """Peel both generators from their rational data and return the (w, d) count tables.
 
     A weight of at least 23 reaches the depth-7 weight-23 zeta count that
     anchors the deep end of the table.  Embedded cross-checks compare the
     shallow-depth diagonals against their pseudopolynomial forms and raise
     CrossCheckError on any mismatch.
     """
-    exps_mzv = peel_bi(build_mzv_rhs(max_weight), PRODUCT_PLAIN)
-    exps_eul = peel_bi(build_eul_rhs(max_weight), PRODUCT_PLAIN)
+    exps_mzv = _peel_rational(_MZV_NUMERATOR, _MZV_DENOMINATOR, 2, 3, max_weight)
+    exps_eul = _peel_rational(_EUL_NUMERATOR, _EUL_DENOMINATOR, 2, 3, max_weight)
     counts = MzvCounts(
         max_weight,
         _to_weight_depth(exps_mzv, max_weight),

@@ -32,14 +32,18 @@ of integer factors has integer a_n, so the division is exact; it is
 checked anyway.  In the peel, c is integral whenever a is (a_0 = 1 needs
 no division), and an inexact division by wt(n) is exactly the case where
 no integer exponent family exists, so it raises NonIntegerExponent
-instead of producing a rational.
+instead of producing a rational.  When F is a known quotient
+N / prod(f), c = E(F)/F = E(N)/N - sum_f E(f)/f, with E the weighted
+Euler operator, is a sum of sparse divisions, so `_peel_rational` never
+expands F or runs the convolution.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul
 from typing import Mapping, Sequence
 
+from .generators import Terms, _expand_rational
 from .series import BiSeries, Coeff, UniSeries, _zero_rows
 
 PRODUCT_OF_INVERSES = "product_of_inverses"
@@ -113,21 +117,25 @@ def _euler(
     return a
 
 
-def _peel(
+def _log_derivative(
     rows: Sequence[Sequence[Coeff]], weight_x: int, weight_y: int, max_weight: int
-) -> dict[Monomial, int]:
-    """The nonzero e_n with prod_n (1 - x**j * y**d)**(-e_n) == rows.
-
-    ``rows[0][0]`` must be 1.  Keys come out in increasing weight, ties
-    broken by increasing d.
-    """
+) -> list[list[Coeff]]:
+    """c with wt(n) * a_n = sum_{0 < k <= n} c_k * a_{n-k}, for a = rows and rows[0][0] == 1."""
     c = _zero_rows(weight_x, weight_y, max_weight)
-    # wt(k) * e_k summed over the divisors k of each monomial peeled so far;
+    for wt, d, j in _monomials(weight_x, weight_y, max_weight):
+        c[j][d] = wt * rows[j][d] - _convolve(c, rows, j, d)
+    return c
+
+
+def _exponents(
+    c: Sequence[Sequence[Coeff]], weight_x: int, weight_y: int, max_weight: int
+) -> dict[Monomial, int]:
+    """The nonzero e_n with c_n = sum_{k | n} wt(k) * e_k, keyed by increasing weight, then d."""
+    # wt(k) * e_k summed over the divisors k of each monomial inverted so far;
     # at n that is exactly the proper divisors
     divisor_sums = _zero_rows(weight_x, weight_y, max_weight)
     exponents: dict[Monomial, int] = {}
     for wt, d, j in _monomials(weight_x, weight_y, max_weight):
-        c[j][d] = wt * rows[j][d] - _convolve(c, rows, j, d)
         residue = c[j][d] - divisor_sums[j][d]
         e, rest = divmod(residue, wt)
         if rest:
@@ -135,6 +143,30 @@ def _peel(
         if e:
             exponents[(j, d)] = e
             _add_to_multiples(divisor_sums, j, d, wt * e)
+    return exponents
+
+
+def _peel_rational(
+    numerator: Terms, factors: Sequence[Terms], weight_x: int, weight_y: int, max_weight: int
+) -> dict[Monomial, int]:
+    """``peel_bi(F, PRODUCT_PLAIN)`` of F = numerator / prod(factors), never expanding F.
+
+    The log-derivative of 1/F is sum_f E(f)/f - E(N)/N, one sparse
+    division per polynomial; its product-of-inverses exponents are the
+    plain-product exponents of F.  A nonzero exponent at d = 0 is the
+    F(x, 0) != 1 failure of ``peel_bi`` and raises NonIntegerExponent.
+    """
+    if numerator.get((0, 0)) != 1:
+        raise NonUnitConstant(f"constant term is {numerator.get((0, 0), 0)}, expected 1")
+    grid = weight_x, weight_y, max_weight
+    c = _zero_rows(*grid)
+    for poly, sign in ((numerator, -1), *((factor, 1) for factor in factors)):
+        euler_op = {(j, d): sign * (weight_x * j + weight_y * d) * t for (j, d), t in poly.items()}
+        for row, term in zip(c, _expand_rational(euler_op, [poly], *grid)):
+            row[:] = map(add, row, term)
+    exponents = _exponents(c, *grid)
+    if any(not d for _, d in exponents):
+        raise NonIntegerExponent("a pure-x factor remains; F is not a product over positive depth")
     return exponents
 
 
@@ -179,5 +211,6 @@ def peel_bi(series: BiSeries, form: str = PRODUCT_PLAIN) -> dict[Monomial, int]:
                 f"residual x**{j} coefficient {series[(j, 0)]}; the input is not an "
                 "exact product over positive-depth monomials"
             )
-    exponents = _peel(series.coeffs, series.weight_x, series.weight_y, series.max_weight)
+    grid = series.weight_x, series.weight_y, series.max_weight
+    exponents = _exponents(_log_derivative(series.coeffs, *grid), *grid)
     return {jd: sign * e for jd, e in exponents.items()}

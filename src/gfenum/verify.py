@@ -168,7 +168,8 @@ _IDENTITIES = {
 }
 
 # Claim-id pattern -> evaluator of the engine's value (an int, a list of ints
-# or a float), called with the pattern's groups; the first full match wins.
+# or a float), called with the pattern's groups; the first full match wins,
+# and \d matches ASCII digits only.
 # Each evaluator looks the library's cached entry points up when it runs.
 _CLAIMS = (
     (r"table1:m(\d+):u(\d+)", lambda m, u: _beta(int(m), int(u))),
@@ -211,7 +212,7 @@ def _sequence_result(claim_id: str, expected: list[int], actual: list[int]) -> C
 
 def _evaluate(entry: ReferenceEntry) -> ClaimResult:
     for pattern, evaluator in _CLAIMS:
-        match = re.fullmatch(pattern, entry.claim_id)
+        match = re.fullmatch(pattern, entry.claim_id, re.ASCII)
         if match:
             break
     else:

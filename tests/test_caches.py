@@ -1,4 +1,4 @@
-"""The grow-once caches of build_b, p_closed and mzv_counts are invisible.
+"""The grow-once caches of build_b, p_closed, p_from_b and mzv_counts are invisible.
 
 Each keeps one expansion, grown by doubling, and serves every smaller
 size as a cut of it.  Whatever order sizes are asked in, every value
@@ -13,30 +13,45 @@ import pytest
 
 import gfenum
 from gfenum import generators, mzv
-from gfenum.generators import build_b, p_closed
+from gfenum.generators import build_b, p_closed, p_from_b
 from gfenum.mzv import mzv_counts
 from gfenum.series import IndexOutOfRange
 
-# (grown function, least valid size, kernel call that expands it, index of its size argument)
+
+def _arg(index):
+    """The size of a kernel call: its positional argument at index."""
+    return lambda call: call.args[index]
+
+
+def _zeta_side(call):
+    """The weight of a zeta-value peel; each expansion also peels the Euler-sum side."""
+    return call.args[4] if call.args[0] is mzv._MZV_NUMERATOR else None
+
+
+# (grown function, least valid size, kernel call that expands it, size of a call or None)
 GROWN = [
-    pytest.param(build_b, 0, (generators, "_expand_rational"), 4, id="build_b"),
-    pytest.param(p_closed, 1, (generators, "_expand_uni"), 2, id="p_closed"),
-    pytest.param(mzv_counts, 0, (mzv, "build_mzv_rhs"), 0, id="mzv_counts"),
+    pytest.param(build_b, 0, (generators, "_expand_rational"), _arg(4), id="build_b"),
+    pytest.param(p_closed, 1, (generators, "_expand_uni"), _arg(2), id="p_closed"),
+    pytest.param(p_from_b, 1, (generators, "build_b"), _arg(0), id="p_from_b"),
+    pytest.param(mzv_counts, 0, (mzv, "_peel_rational"), _zeta_side, id="mzv_counts"),
 ]
 
 
-def expanded_sizes(grown, kernel, arg, sizes):
+def expanded_sizes(grown, kernel, size_of, sizes):
     """Call grown at each size from a cold cache; return the sizes the kernel expanded."""
     grown.cache_clear()
     with mock.patch.object(*kernel, wraps=getattr(*kernel)) as spy:
         for size in sizes:
             grown(size)
-    return [call.args[arg] for call in spy.call_args_list]
+    expanded = map(size_of, spy.call_args_list)
+    return [size for size in expanded if size is not None]
 
 
-@pytest.mark.parametrize("grown, least, kernel, arg", GROWN)
+@pytest.mark.parametrize("grown, least, kernel, size_of", GROWN)
 class TestGrownCache:
-    def test_sweep_up_with_revisits_then_down_serves_cold_values(self, grown, least, kernel, arg):
+    def test_sweep_up_with_revisits_then_down_serves_cold_values(
+        self, grown, least, kernel, size_of
+    ):
         rng = random.Random(13)
         walk = []
         for size in range(least, 41):  # past two doublings from any start
@@ -48,24 +63,24 @@ class TestGrownCache:
         for size in walk:
             assert grown(size) == cold[size], size
 
-    def test_an_upward_walk_expands_only_at_doublings(self, grown, least, kernel, arg):
+    def test_an_upward_walk_expands_only_at_doublings(self, grown, least, kernel, size_of):
         sizes = range(max(least, 3), 41)
-        assert expanded_sizes(grown, kernel, arg, sizes) == [3, 6, 12, 24, 48]
+        assert expanded_sizes(grown, kernel, size_of, sizes) == [3, 6, 12, 24, 48]
 
-    def test_a_smaller_size_is_cut_and_memoised(self, grown, least, kernel, arg):
-        assert expanded_sizes(grown, kernel, arg, [30, 10, 20, 10, 30]) == [30]
+    def test_a_smaller_size_is_cut_and_memoised(self, grown, least, kernel, size_of):
+        assert expanded_sizes(grown, kernel, size_of, [30, 10, 20, 10, 30]) == [30]
         assert grown.cache_info() == (2, 3, 3)  # hits, misses, currsize
 
     def test_clear_drops_the_expansion_and_the_next_call_recomputes(
-        self, grown, least, kernel, arg
+        self, grown, least, kernel, size_of
     ):
         grown(30)
         grown.cache_clear()
         assert grown.cache_info().currsize == 0
-        assert expanded_sizes(grown, kernel, arg, [20]) == [20]
+        assert expanded_sizes(grown, kernel, size_of, [20]) == [20]
         assert grown.cache_info() == (0, 1, 1)
 
-    def test_invalid_size_raises_warm_and_cold(self, grown, least, kernel, arg):
+    def test_invalid_size_raises_warm_and_cold(self, grown, least, kernel, size_of):
         grown.cache_clear()
         for _ in ("cold", "warm"):
             with pytest.raises(ValueError, match=f"must be >= {least}"):

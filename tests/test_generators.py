@@ -253,6 +253,33 @@ class TestDivisionKernel:
         rows = _expand_rational(numerator, factors, wx, wy, w)
         assert BiSeries(wx, wy, w, tuple(tuple(r) for r in rows)) == expected
 
+    @pytest.mark.parametrize("grid", ["x2y1", "x2y3", "row"])
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            {(0, 1): -1},  # 1 - y**k: running sums along each row
+            {(0, 4): -1},
+            {(0, 12): -1},  # k past the length of the later rows
+            {(0, 30): -1},  # k past every row
+            {(1, 0): -1},  # 1 - x**k: one row added into another
+            {(3, 0): -1},
+            {(0, 2): 1},  # the rest take the generic loop
+            {(0, 1): -2},
+            {(2, 0): 1},
+            {(1, 1): -1},
+        ],
+    )
+    def test_single_term_factors_match_the_dense_inverse(self, grid, tail):
+        w = 20
+        wx, wy = {"x2y1": (2, 1), "x2y3": (2, 3), "row": (w + 1, 1)}[grid]
+        numerator = {(0, 0): 1, (0, 1): 2, (1, 0): -1, (1, 2): 3, (2, 1): 1}
+        factor = {(0, 0): 1, **tail}
+        expected = bi_from_terms(wx, wy, w, numerator)
+        for _ in range(2):  # the second pass divides rows the first already divided
+            expected = bi_mul(expected, bi_inverse(bi_from_terms(wx, wy, w, factor)))
+        rows = _expand_rational(numerator, [factor, factor], wx, wy, w)
+        assert BiSeries(wx, wy, w, rows) == expected
+
     def test_factors_must_have_unit_constant_term(self):
         for factor in ({(0, 0): 2, (0, 1): -1}, {(0, 1): -1}, {(0, 0): -1, (1, 0): 1}):
             with pytest.raises(ValueError, match="constant term 1"):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfenum import mzv
 from gfenum.generators import primitive_counts
 from gfenum.series import BiSeries, UniSeries
 from gfenum.transforms import (
@@ -13,6 +14,7 @@ from gfenum.transforms import (
     NegativeExponent,
     NonIntegerExponent,
     NonUnitConstant,
+    _peel_rational,
     euler_expand,
     peel_bi,
     peel_uni,
@@ -210,6 +212,39 @@ class TestPeelBi:
     def test_roundtrip_property(self, exponents, form):
         series = product_oracle(exponents, 2, 3, BI_WEIGHT, SIGN[form])
         assert peel_bi(series, form) == exponents
+
+
+class TestPeelRational:
+    @pytest.mark.parametrize(
+        "numerator, factors, build",
+        [
+            (mzv._MZV_NUMERATOR, mzv._MZV_DENOMINATOR, mzv.build_mzv_rhs),
+            (mzv._EUL_NUMERATOR, mzv._EUL_DENOMINATOR, mzv.build_eul_rhs),
+        ],
+        ids=["zeta", "euler"],
+    )
+    def test_equals_peel_bi_of_the_expanded_generator(self, numerator, factors, build):
+        for weight in [*range(61), 100, 150]:
+            exponents = _peel_rational(numerator, factors, 2, 3, weight)
+            expected = peel_bi(build(weight))
+            assert list(exponents.items()) == list(expected.items()), weight  # key order too
+
+    @given(bi_families())
+    @settings(deadline=None)
+    def test_recovers_a_product_split_into_numerator_and_factors(self, exponents):
+        positive = {jd: e for jd, e in exponents.items() if e > 0}
+        expanded = product_oracle(positive, 2, 3, BI_WEIGHT, SIGN[PRODUCT_PLAIN])
+        numerator = {(j, d): c for j, d, c in expanded.nonzero_terms()}
+        factors = [{(0, 0): 1, jd: -1} for jd, e in exponents.items() for _ in range(-e)]
+        assert _peel_rational(numerator, factors, 2, 3, BI_WEIGHT) == exponents
+
+    def test_a_pure_x_factor_is_not_a_product_over_positive_depth(self):
+        with pytest.raises(NonIntegerExponent, match="pure-x"):
+            _peel_rational({(0, 0): 1, (1, 0): -1}, [], 2, 3, 9)
+
+    def test_numerator_constant_must_be_one(self):
+        with pytest.raises(NonUnitConstant):
+            _peel_rational({(0, 0): 2, (0, 1): -1}, [], 2, 3, 9)
 
 
 class TestMultisetOracle:

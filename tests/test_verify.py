@@ -12,6 +12,8 @@ from gfenum.verify import (
 
 from literals import P20
 
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
 
 def reference_lines():
     return default_data_path().read_text(encoding="utf-8").splitlines()
@@ -154,6 +156,27 @@ class TestFileFormat:
         report = run_all(data)
         assert report.failing_ids() == ["nonsense:claim"]
         assert report.results[0].actual == "unrecognized claim id"
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "table1:m05:u02\tx\texact_value\t2",
+            "tally:m16\tx\tsequence\t17,27,38,46,42,28,8,1",
+            "mzv:D:w23:d07\tx\texact_value\t4",
+            "mzv:M:w12:d04\tx\texact_value\t0",
+        ],
+    )
+    def test_a_claim_id_with_non_ascii_digits_is_unrecognized(self, tmp_path, line):
+        claim_id, rest = line.split("\t", 1)
+        kind, _, numbers = claim_id.partition(":")
+        # the same claim with its indices in Arabic-Indic digits, which int() would read
+        arabic_indic = f"{kind}:{numbers.translate(_ARABIC_INDIC)}"
+        data = tmp_path / "digits.tsv"
+        data.write_text(f"{line}\n{arabic_indic}\t{rest}\n", encoding="utf-8")
+        report = run_all(data)
+        assert report.passed == 1
+        (bad,) = [r for r in report.results if not r.ok]
+        assert (bad.claim_id, bad.actual) == (arabic_indic, "unrecognized claim id")
 
 
 class TestClaimKinds:
