@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .generators import _P_FACTORS, _P_NUMERATOR, _expand_uni, primitive_counts
+from .generators import _P_FACTORS, _P_NUMERATOR, p_closed, primitive_counts
 
 
 def _quartic(r: float) -> float:
@@ -117,7 +117,7 @@ def growth_constant_from_series(terms: int = 14000) -> float:
     if tail > _MAX_TAIL:
         raise ValueError(f"terms={terms} leaves a series tail bound of {tail:.4g} > {_MAX_TAIL:g}")
     scale = 0.70  # any value below 1/r keeps the rescaled sweep bounded
-    coeffs = _scaled_floats(_expand_uni(_P_NUMERATOR, _P_FACTORS, terms).coeffs, scale)
+    coeffs = _scaled_floats(p_closed(terms).coeffs, scale)
     values = []
     for t in offsets:
         y = 1.0 / r - t

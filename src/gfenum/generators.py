@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import wraps
 from itertools import accumulate
 from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
@@ -225,8 +225,14 @@ class BetaTable:
             return [self.get(1, 2)]
         return [self.get(m, u) for u in range(2, m + 1, 2)]
 
+    def truncate(self, max_m: int) -> BetaTable:
+        """The table through a smaller degree: the entries with m <= max_m, (1, 2) included."""
+        if max_m > self.max_m:
+            raise IndexOutOfRange(f"cannot extend degree bound {self.max_m} to {max_m}")
+        return BetaTable(max_m, {key: n for key, n in self.entries.items() if key[0] <= max_m})
 
-@lru_cache(maxsize=None)
+
+@_grown(BetaTable.truncate, "max_m", 0)
 def beta_table(max_m: int) -> BetaTable:
     """Full table of beta values through degree max_m.
 
@@ -234,8 +240,6 @@ def beta_table(max_m: int) -> BetaTable:
     can silently read a stale zero; odd-u entries are zero by convention
     and beta(1, 2) = 1 is inserted explicitly.
     """
-    if max_m < 0:
-        raise ValueError("max_m must be >= 0")
     b = build_b(max_m)
     entries: dict[tuple[int, int], int] = {}
     for m in range(max_m + 1):

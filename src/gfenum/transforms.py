@@ -15,27 +15,24 @@ grading and ``{(j, d): exponent}`` for two.  Absent indices mean zero.
 A one-grading series is the j = 0 row of a two-grading grid, so the
 forward kernel and the peel share one grid and its helpers.
 
-Both kernels use the log-derivative recurrence of Bernstein and Sloane
+Both directions use the log-derivative recurrence of Bernstein and Sloane
 ("Some canonical sequences of integers", 1995), generalised to a weighted
 grid.  With wt(n) the total weight of monomial n, applying the weighted
-Euler operator to log F turns the product into
+Euler operator E to log F turns the product into
 
     wt(n) * a_n = sum_{0 < k <= n} c_k * a_{n-k},
     c_n = sum_{k | n} wt(k) * e_k,
 
 where k <= n is componentwise and k | n means n = t*k for an integer
-t >= 1.  The forward kernel builds c from e and then a from c.  The peel
-recovers c from a by the same recurrence (a_0 = 1, so no division) and
-then e from c by Moebius inversion over the multiples.  Everything stays in
-integers.  Forward, the right-hand side equals wt(n) * a_n and a product
-of integer factors has integer a_n, so the division is exact; it is
-checked anyway.  In the peel, c is integral whenever a is (a_0 = 1 needs
-no division), and an inexact division by wt(n) is exactly the case where
-no integer exponent family exists, so it raises NonIntegerExponent
-instead of producing a rational.  When F is a known quotient
-N / prod(f), c = E(F)/F = E(N)/N - sum_f E(f)/f, with E the weighted
-Euler operator, is a sum of sparse divisions, so `_peel_rational` never
-expands F or runs the convolution.
+t >= 1, so c = E(F)/F.  Forward, `euler_expand` builds c from e and then
+a from c by the recurrence.  A product of integer factors has integer
+a_n, so the division by wt(n) is exact; it is checked anyway.  The peel
+takes F as a quotient N / prod(f), a series being the quotient F / 1,
+and gets c = E(N)/N - sum_f E(f)/f by one sparse division per
+polynomial, never expanding F.  Moebius inversion over the multiples then
+recovers e from c.  An inexact division by wt(n) there is exactly the
+case where no integer exponent family exists, so it raises
+NonIntegerExponent instead of producing a rational.
 """
 
 from __future__ import annotations
@@ -66,10 +63,10 @@ class NegativeExponent(ValueError):
 
 
 def _sign(form: str) -> int:
-    """+1 if exponents of ``form`` are those of a product of inverses, else -1."""
+    """+1 if exponents of ``form`` are those of a plain product, else -1."""
     if form not in _FORMS:
         raise ValueError(f"form must be one of {_FORMS}, got {form!r}")
-    return 1 if form == PRODUCT_OF_INVERSES else -1
+    return 1 if form == PRODUCT_PLAIN else -1
 
 
 def _monomials(weight_x: int, weight_y: int, max_weight: int) -> list[tuple[int, int, int]]:
@@ -117,16 +114,6 @@ def _euler(
     return a
 
 
-def _log_derivative(
-    rows: Sequence[Sequence[Coeff]], weight_x: int, weight_y: int, max_weight: int
-) -> list[list[Coeff]]:
-    """c with wt(n) * a_n = sum_{0 < k <= n} c_k * a_{n-k}, for a = rows and rows[0][0] == 1."""
-    c = _zero_rows(weight_x, weight_y, max_weight)
-    for wt, d, j in _monomials(weight_x, weight_y, max_weight):
-        c[j][d] = wt * rows[j][d] - _convolve(c, rows, j, d)
-    return c
-
-
 def _exponents(
     c: Sequence[Sequence[Coeff]], weight_x: int, weight_y: int, max_weight: int
 ) -> dict[Monomial, int]:
@@ -149,12 +136,13 @@ def _exponents(
 def _peel_rational(
     numerator: Terms, factors: Sequence[Terms], weight_x: int, weight_y: int, max_weight: int
 ) -> dict[Monomial, int]:
-    """``peel_bi(F, PRODUCT_PLAIN)`` of F = numerator / prod(factors), never expanding F.
+    """The plain-product exponents of F = numerator / prod(factors), never expanding F.
 
     The log-derivative of 1/F is sum_f E(f)/f - E(N)/N, one sparse
     division per polynomial; its product-of-inverses exponents are the
-    plain-product exponents of F.  A nonzero exponent at d = 0 is the
-    F(x, 0) != 1 failure of ``peel_bi`` and raises NonIntegerExponent.
+    plain-product exponents of F.  A nonzero exponent at d = 0 means
+    F(x, 0) != 1, so F is no product over positive depth, and raises
+    NonIntegerExponent.
     """
     if numerator.get((0, 0)) != 1:
         raise NonUnitConstant(f"constant term is {numerator.get((0, 0), 0)}, expected 1")
@@ -203,14 +191,6 @@ def peel_bi(series: BiSeries, form: str = PRODUCT_PLAIN) -> dict[Monomial, int]:
     increasing total weight with ties broken by increasing d.
     """
     sign = _sign(form)
-    if series[(0, 0)] != 1:
-        raise NonUnitConstant(f"constant term is {series[(0, 0)]}, expected 1")
-    for j in range(1, series.j_limit + 1):
-        if series[(j, 0)] != 0:
-            raise NonIntegerExponent(
-                f"residual x**{j} coefficient {series[(j, 0)]}; the input is not an "
-                "exact product over positive-depth monomials"
-            )
-    grid = series.weight_x, series.weight_y, series.max_weight
-    exponents = _exponents(_log_derivative(series.coeffs, *grid), *grid)
+    terms = {(j, d): c for j, d, c in series.nonzero_terms()}
+    exponents = _peel_rational(terms, (), series.weight_x, series.weight_y, series.max_weight)
     return {jd: sign * e for jd, e in exponents.items()}

@@ -136,12 +136,24 @@ def _invariants(min_degree: int) -> list[int]:
     return list(euler_expand(exponents, min_degree, _MAX_DEGREE).coeffs[1:])
 
 
+def _index(digits: str) -> int:
+    """A claim-id index; past 18 significant digits it is past every table (and maybe int())."""
+    significant = digits.lstrip("0")
+    if len(significant) > 18:
+        raise IndexOutOfRange(f"an index of {len(significant)} digits lies past every table")
+    return int(significant or "0")
+
+
 def _beta(m: int, u: int) -> int:
     return beta_table(_MAX_DEGREE).get(m, u)
 
 
 def _zeta(w: int, d: int) -> int:
     return mzv_counts(_MZV_WEIGHT).mzv_count(w, d)
+
+
+def _euler_sum(w: int, d: int) -> int:
+    return mzv_counts(_MZV_WEIGHT).euler_count(w, d)
 
 
 def _framed_minus_knots() -> bool:
@@ -172,13 +184,13 @@ _IDENTITIES = {
 # and \d matches ASCII digits only.
 # Each evaluator looks the library's cached entry points up when it runs.
 _CLAIMS = (
-    (r"table1:m(\d+):u(\d+)", lambda m, u: _beta(int(m), int(u))),
+    (r"table1:m(\d+):u(\d+)", lambda m, u: _beta(_index(m), _index(u))),
     (r"seq:P", lambda: primitive_counts(_MAX_DEGREE)),
     (r"seq:V", lambda: _invariants(2)),
     (r"seq:F", lambda: _invariants(1)),
-    (r"tally:m(\d+)", lambda m: beta_table(_MAX_DEGREE).tally_terms(int(m))),
-    (r"mzv:D:w(\d+):d(\d+)", lambda w, d: _zeta(int(w), int(d))),
-    (r"mzv:M:w(\d+):d(\d+)", lambda w, d: mzv_counts(_MZV_WEIGHT).euler_count(int(w), int(d))),
+    (r"tally:m(\d+)", lambda m: beta_table(_MAX_DEGREE).tally_terms(_index(m))),
+    (r"mzv:D:w(\d+):d(\d+)", lambda w, d: _zeta(_index(w), _index(d))),
+    (r"mzv:M:w(\d+):d(\d+)", lambda w, d: _euler_sum(_index(w), _index(d))),
     (r"mzv:depth1", lambda: [_zeta(w, 1) for w in range(3, 22, 2)]),
     (r"mzv:depth2", lambda: [_zeta(8 + 2 * j, 2) for j in range((_MZV_WEIGHT - 8) // 2 + 1)]),
     (r"mzv:d3d", lambda: [_zeta(3 * d, d) for d in range(1, DEPTH_DIAGONAL_CHECKED_MAX + 1)]),

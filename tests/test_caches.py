@@ -1,4 +1,4 @@
-"""The grow-once caches of build_b, p_closed, p_from_b and mzv_counts are invisible.
+"""The grow-once caches of build_b, p_closed, p_from_b, beta_table and mzv_counts are invisible.
 
 Each keeps one expansion, grown by doubling, and serves every smaller
 size as a cut of it.  Whatever order sizes are asked in, every value
@@ -13,7 +13,7 @@ import pytest
 
 import gfenum
 from gfenum import generators, mzv
-from gfenum.generators import build_b, p_closed, p_from_b
+from gfenum.generators import beta_table, build_b, p_closed, p_from_b
 from gfenum.mzv import mzv_counts
 from gfenum.series import IndexOutOfRange
 
@@ -33,6 +33,7 @@ GROWN = [
     pytest.param(build_b, 0, (generators, "_expand_rational"), _arg(4), id="build_b"),
     pytest.param(p_closed, 1, (generators, "_expand_uni"), _arg(2), id="p_closed"),
     pytest.param(p_from_b, 1, (generators, "build_b"), _arg(0), id="p_from_b"),
+    pytest.param(beta_table, 0, (generators, "build_b"), _arg(0), id="beta_table"),
     pytest.param(mzv_counts, 0, (mzv, "_peel_rational"), _zeta_side, id="mzv_counts"),
 ]
 
@@ -103,3 +104,8 @@ def test_every_size_keyed_cache_can_be_inspected_and_cleared():
 def test_mzv_counts_cut_cannot_extend():
     with pytest.raises(IndexOutOfRange):
         mzv_counts(12).truncate(13)
+
+
+def test_beta_table_cut_cannot_extend():
+    with pytest.raises(IndexOutOfRange):
+        beta_table(12).truncate(13)

@@ -185,6 +185,18 @@ class TestExitCodes:
         assert row[:3] == ["table1:m30:u02", "fail", "1"]
         assert row[3].startswith("outside the engine horizon")
 
+    def test_a_claim_index_too_long_for_int_fails_only_its_claim(self, capsys, tmp_path):
+        claim_id = f"table1:m{'1' * 5000}:u02"
+        data = tmp_path / "huge.tsv"
+        lines = f"table1:m12:u06\tx\texact_value\t15\n{claim_id}\tx\texact_value\t1\n"
+        data.write_text(lines, encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", "--data", str(data))
+        assert code == 1
+        failing = [line.split("\t") for line in out.splitlines() if "\tfail\t" in line]
+        assert [row[0] for row in failing] == [claim_id]
+        assert failing[0][3].startswith("outside the engine horizon")
+        assert "Traceback" not in err and "1 passed, 1 failed" in err
+
     def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path):
         target = tmp_path / "no-such-dir" / "x.tsv"
         code, out, err = run_cli(capsys, "beta", "--output", str(target))

@@ -197,8 +197,19 @@ class TestPeelBi:
         with pytest.raises(NonUnitConstant):
             peel_bi(bi_zero(2, 3, 9))
 
-    def test_pure_x_leftover_is_loud(self):
-        series = bi_from_terms(2, 3, 9, {(0, 0): 1, (1, 0): 1})
+    # F(x, 0) != 1: an integer pure-x exponent, a fractional one, and a
+    # pure-x leftover among positive-depth terms
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            {(0, 0): 1, (1, 0): 1},
+            {(0, 0): 1, (1, 0): Fraction(1, 2)},
+            {(0, 0): 1, (0, 1): -1, (1, 1): 2, (2, 0): 1},
+        ],
+        ids=["integer", "fractional", "mixed"],
+    )
+    def test_pure_x_leftover_is_loud(self, terms):
+        series = bi_from_terms(2, 3, 9, terms)
         with pytest.raises(NonIntegerExponent):
             peel_bi(series)
 
@@ -228,6 +239,19 @@ class TestPeelRational:
             exponents = _peel_rational(numerator, factors, 2, 3, weight)
             expected = peel_bi(build(weight))
             assert list(exponents.items()) == list(expected.items()), weight  # key order too
+
+    @pytest.mark.parametrize(
+        "numerator, factors, build",
+        [
+            (mzv._MZV_NUMERATOR, mzv._MZV_DENOMINATOR, mzv.build_mzv_rhs),
+            (mzv._EUL_NUMERATOR, mzv._EUL_DENOMINATOR, mzv.build_eul_rhs),
+        ],
+        ids=["zeta", "euler"],
+    )
+    def test_dense_reexpansion_reproduces_the_generator(self, numerator, factors, build):
+        # peel_bi runs the same division, so the independent check is a dense re-expansion
+        exponents = _peel_rational(numerator, factors, 2, 3, 30)
+        assert product_oracle(exponents, 2, 3, 30, SIGN[PRODUCT_PLAIN]) == build(30)
 
     @given(bi_families())
     @settings(deadline=None)

@@ -12,6 +12,7 @@ from gfenum.verify import (
 
 from literals import P20
 
+_HUGE = "1" * 5000
 _ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
 
 
@@ -236,6 +237,12 @@ class TestMalformedPayloads:
             "table1:m05:u07\tx\texact_value\t0",
             "tally:m25\tx\tsequence\t1,2",
             "mzv:D:w40:d01\tx\texact_value\t1",
+            # an index of 5,000 digits, past the 4,300 digits int() reads by default
+            pytest.param(f"table1:m{_HUGE}:u02\tx\texact_value\t1", id="table1:m<huge>:u02"),
+            pytest.param(f"table1:m05:u{_HUGE}\tx\texact_value\t1", id="table1:m05:u<huge>"),
+            pytest.param(f"tally:m{_HUGE}\tx\tsequence\t1", id="tally:m<huge>"),
+            pytest.param(f"mzv:D:w{_HUGE}:d01\tx\texact_value\t1", id="mzv:D:w<huge>:d01"),
+            pytest.param(f"mzv:M:w05:d{_HUGE}\tx\texact_value\t1", id="mzv:M:w05:d<huge>"),
         ],
     )
     def test_a_claim_past_the_engine_horizon_fails_only_its_claim(self, tmp_path, line):
@@ -246,6 +253,11 @@ class TestMalformedPayloads:
         bad = [r for r in report.results if not r.ok]
         assert len(bad) == 1 and bad[0].claim_id == line.split("\t")[0]
         assert bad[0].actual.startswith("outside the engine horizon: ")
+
+    def test_leading_zeros_do_not_count_toward_an_index_length(self, tmp_path):
+        data = tmp_path / "zeros.tsv"
+        data.write_text(f"table1:m{'0' * 5000}12:u06\tx\texact_value\t15\n", encoding="utf-8")
+        assert run_all(data).ok
 
     def test_an_unknown_identity_fails_its_claim(self, tmp_path):
         data = tmp_path / "identity.tsv"
