@@ -77,17 +77,14 @@ def _scaled_floats(coeffs: tuple[int, ...], scale: float) -> list[float]:
     term is assembled from a 64-bit mantissa and a power-of-two exponent.
     """
     log2_scale = math.log2(scale)
+    floor, ldexp = math.floor, math.ldexp
     out = []
-    for m, c in enumerate(coeffs):
-        if c == 0:
-            out.append(0.0)
-            continue
+    for m, c in enumerate(coeffs):  # c = 0 gives ldexp(0.0, whole) == 0.0
         bits = c.bit_length()
-        shift = max(0, bits - 64)
-        mantissa = float(c >> shift)
+        shift = bits - 64 if bits > 64 else 0
         exponent = shift + m * log2_scale
-        whole = math.floor(exponent)
-        out.append(math.ldexp(mantissa * 2.0 ** (exponent - whole), whole))
+        whole = floor(exponent)
+        out.append(ldexp(float(c >> shift) * 2.0 ** (exponent - whole), whole))
     return out
 
 

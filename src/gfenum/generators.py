@@ -22,8 +22,8 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import wraps
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .series import BiSeries, IndexOutOfRange, UniSeries, _zero_rows
@@ -104,12 +104,13 @@ def _expand_rational(
     """Coefficient rows of numerator / prod(factors) on the weighted grid of BiSeries.
 
     The numerator is placed on the grid and divided by one factor at a
-    time, in place: row[j][d] -= c * rows[j - fj][d - fd] for each
-    nonconstant term c * x**fj * y**fd, in row-major order, so every
-    source is already divided.  The factors are never multiplied together,
-    and a factor 1 - y**k or 1 - x**k is one running-sum pass over the
-    rows, one addition per coefficient at C speed.  A one-grading series
-    is the j = 0 row with weights (N + 1, 1).
+    time, in place, row by row: row[j][d] -= c * rows[j - fj][d - fd] for
+    each nonconstant term c * x**fj * y**fd.  Terms with fj > 0 read rows
+    already divided, and no shorter, so each is one pass at C speed; terms
+    with fj = 0 then leave a recurrence along the row: a running sum per
+    residue class for 1 - y**k, else one loop that multiplies only by lags
+    other than 1.  The factors are never multiplied together.  A
+    one-grading series is the j = 0 row with weights (N + 1, 1).
     """
     if any(factor.get((0, 0)) != 1 for factor in factors):
         raise ValueError("denominator factors must have constant term 1")
@@ -121,24 +122,24 @@ def _expand_rational(
         if weight_x * j + weight_y * d <= max_weight:
             rows[j][d] += c
     for factor in factors:
-        tail = [(fj, fd, c) for (fj, fd), c in factor.items() if (fj or fd) and c]
-        match tail:
-            case [(0, k, -1)]:  # 1 - y**k: running sums along each residue class mod k
-                for row in rows:
-                    for r in range(min(k, len(row))):
-                        row[r::k] = accumulate(row[r::k])
-            case [(k, 0, -1)]:  # 1 - x**k: add row j - k into row j
-                for j in range(k, len(rows)):
-                    rows[j][:] = map(add, rows[j], rows[j - k])
-            case _:
-                for j, row in enumerate(rows):
-                    terms = [(rows[j - fj], fd, c) for fj, fd, c in tail if fj <= j]
-                    for d in range(len(row)):
-                        acc = row[d]
-                        for source, fd, c in terms:
-                            if fd <= d:
-                                acc -= c * source[d - fd]
-                        row[d] = acc
+        earlier = [(fj, fd, c) for (fj, fd), c in factor.items() if fj and c]
+        lags = [(fd, -c) for (fj, fd), c in factor.items() if not fj and fd and c]
+        for j, row in enumerate(rows):
+            for fj, fd, c in earlier:
+                if fj <= j:  # row[fd:] -= c * source, with no product when c = 1 or -1
+                    source = rows[j - fj] if c in (1, -1) else map(mul, repeat(c), rows[j - fj])
+                    row[fd:] = map(add if c == -1 else sub, row[fd:], source)
+            if len(lags) == 1 and lags[0][1] == 1:  # 1 - y**k: running sums per residue class
+                k = lags[0][0]
+                for r in range(min(k, len(row))):
+                    row[r::k] = accumulate(row[r::k])
+            elif lags:
+                for d in range(len(row)):
+                    acc = row[d]
+                    for fd, a in lags:
+                        if fd <= d:
+                            acc += row[d - fd] if a == 1 else a * row[d - fd]
+                    row[d] = acc
     return rows
 
 

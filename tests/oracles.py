@@ -8,9 +8,11 @@ inverses (`uni_inverse`, `bi_inverse`) over the `UniSeries` and
 (`product_oracle`).  A sum or product is valid exactly through the
 minimum truncation of its operands.  The generator assemblies below use
 only these, so they are an independent reference for the division kernel;
-the multiset count uses no series at all.
+the multiset count uses no series at all.  `scaled_floats` keeps the
+series route's float rescaling in the form it was first written.
 """
 
+import math
 from fractions import Fraction
 
 from gfenum.series import BiSeries, UniSeries, WeightMismatch, _zero_rows
@@ -295,3 +297,24 @@ def build_eul_rhs_dense(max_weight):
     y = bi_from_terms(2, 3, w, {(0, 1): 1})
     inv_1mx = bi_inverse(bi_from_terms(2, 3, w, {(0, 0): 1, (1, 0): -1}))
     return bi_sub(one, bi_mul(y, inv_1mx))
+
+
+def scaled_floats(coeffs, scale):
+    """c_m * scale**m as floats from a 64-bit mantissa and a power-of-two exponent.
+
+    The float rescaling of `asymptotics.growth_constant_from_series` in the
+    form it was first written, with `max` and a branch for c == 0.
+    """
+    log2_scale = math.log2(scale)
+    out = []
+    for m, c in enumerate(coeffs):
+        if c == 0:
+            out.append(0.0)
+            continue
+        bits = c.bit_length()
+        shift = max(0, bits - 64)
+        mantissa = float(c >> shift)
+        exponent = shift + m * log2_scale
+        whole = math.floor(exponent)
+        out.append(math.ldexp(mantissa * 2.0 ** (exponent - whole), whole))
+    return out

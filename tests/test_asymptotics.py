@@ -1,9 +1,13 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gfenum.asymptotics import (
+    _scaled_floats,
     asymptotic_report,
     growth_constant,
     growth_constant_from_series,
@@ -15,7 +19,7 @@ from gfenum.generators import _P_FACTORS, _P_NUMERATOR, p_closed, primitive_coun
 from gfenum.series import UniSeries
 
 from literals import GROWTH_CONSTANT, GROWTH_ROOT
-from oracles import uni_inverse, uni_mul
+from oracles import scaled_floats, uni_inverse, uni_mul
 
 
 class TestGrowthRoot:
@@ -85,6 +89,64 @@ class TestGrowthConstant:
             for factor in _P_FACTORS:
                 oracle = uni_mul(oracle, uni_inverse(UniSeries.from_terms(n, factor)))
             assert p_closed(n) == oracle
+
+    def test_closed_expansion_satisfies_its_recurrence_far_out(self):
+        # D = prod(_P_FACTORS) multiplied out densely; sum_k D_k * a_{n-k} = N_n for all n
+        denominator = UniSeries.from_terms(16, {0: 1})
+        for factor in _P_FACTORS:
+            denominator = uni_mul(denominator, UniSeries.from_terms(16, factor))
+        lags = [(k, c) for k, c in enumerate(denominator.coeffs) if c]
+        assert len(lags) == 15 and lags[-1][0] == 16
+        a = p_closed(20000).coeffs
+        wrong = [
+            n for n in range(len(a))
+            if sum(c * a[n - k] for k, c in lags if k <= n) != _P_NUMERATOR.get(n, 0)
+        ]
+        assert wrong == []
+
+    @pytest.mark.parametrize(
+        "terms, bits",
+        [
+            (6034, "0x1.100621b2770b5p+0"),
+            (8000, "0x1.1006e797d28fbp+0"),
+            (14000, "0x1.1006e9d0a1a03p+0"),
+            (20000, "0x1.1006e9d0a1c00p+0"),
+        ],
+    )
+    def test_series_route_bits_are_pinned(self, terms, bits):
+        assert growth_constant_from_series(terms).hex() == bits
+
+
+def _bits(n):
+    return st.integers(2 ** (n - 1), 2 ** n - 1)
+
+
+_MAGNITUDE = st.one_of(
+    st.just(0), st.integers(1, 2 ** 62), _bits(63), _bits(64), _bits(65), _bits(1025),
+    st.integers(2 ** 1025, 2 ** 3000),
+)
+
+
+def _rescaled(scale_floats, coeffs, scale):
+    """The hex of every rescaled float, or the exception when one is past the float range."""
+    try:
+        return [x.hex() for x in scale_floats(coeffs, scale)]
+    except OverflowError as exc:
+        return type(exc)
+
+
+class TestScaledFloats:
+    @given(
+        st.lists(st.builds(operator.mul, _MAGNITUDE, st.sampled_from([1, -1])), max_size=40),
+        st.floats(2.0 ** -60, 0.99),
+    )
+    @example((0,) * 30 + (2 ** 1100 + 12345, -(2 ** 1030), 2 ** 64 - 1, 0, -(2 ** 63)), 2.0 ** -10)
+    # 65 bits whose cut to 64 (then 63) bits rounds to a different double than one bit more
+    @example((2 ** 64 + 2 ** 11 + 1, 2 ** 64 + 2 ** 11 + 2), 0.5)
+    @settings(deadline=None)
+    def test_matches_the_first_form_bit_for_bit(self, coeffs, scale):
+        coeffs = tuple(coeffs)
+        assert _rescaled(_scaled_floats, coeffs, scale) == _rescaled(scaled_floats, coeffs, scale)
 
 
 class TestConvergence:

@@ -18,6 +18,7 @@ from gfenum.generators import (
     p_from_b,
     primitive_counts,
 )
+from gfenum.mzv import _MZV_NUMERATOR
 from gfenum.series import BiSeries, IndexOutOfRange, UniSeries
 
 from literals import P20, TABLE1, TALLIES, table1_cells
@@ -279,6 +280,21 @@ class TestDivisionKernel:
             expected = bi_mul(expected, bi_inverse(bi_from_terms(wx, wy, w, factor)))
         rows = _expand_rational(numerator, [factor, factor], wx, wy, w)
         assert BiSeries(wx, wy, w, rows) == expected
+
+    @pytest.mark.parametrize("grid", ["x2y1", "x2y3", "row"])
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            pytest.param({(0, 1): -1, (0, 4): -1}, id="1-y-y4"),  # two unit lags
+            pytest.param({(0, 1): -1, (2, 0): -1}, id="1-y-x2"),  # a row pass, then running sums
+            pytest.param(_MZV_NUMERATOR, id="mzv-numerator"),  # +1 and -1 across rows
+            pytest.param({(1, 0): 2, (2, 1): 1}, id="earlier-2-and-plus-1"),
+            pytest.param({(1, 12): -1, (0, 2): -1}, id="earlier-past-row-end"),
+            pytest.param({(0, 1): -1, (0, 3): 3}, id="same-row-minus-1-and-3"),
+        ],
+    )
+    def test_multi_term_factors_match_the_dense_inverse(self, grid, tail):
+        self.test_single_term_factors_match_the_dense_inverse(grid, tail)
 
     def test_factors_must_have_unit_constant_term(self):
         for factor in ({(0, 0): 2, (0, 1): -1}, {(0, 1): -1}, {(0, 0): -1, (1, 0): 1}):
