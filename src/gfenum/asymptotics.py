@@ -75,6 +75,11 @@ def _scaled_floats(coeffs: tuple[int, ...], scale: float) -> list[float]:
     The raw coefficients overflow float far before the truncations used
     here, but c_m * scale**m stays bounded when scale * r < 1, so each
     term is assembled from a 64-bit mantissa and a power-of-two exponent.
+    That rounds twice: the shift cuts c_m to its top 64 bits and float()
+    rounds those to 53, so where the cut bits hold a tie the mantissa can
+    end one ulp from c_m rounded once (2**64 + 2**11 + 1 gives 2**64, not
+    2**64 + 2**12).  The pinned bits of the series route depend on this
+    rounding.
     """
     log2_scale = math.log2(scale)
     floor, ldexp = math.floor, math.ldexp

@@ -8,8 +8,8 @@ too-short truncation fails loudly rather than producing silent zeros.
 
 Coefficients are exact values, never floats (every library path makes
 Python ints), and are stored as given.  Series values are immutable after
-construction.  The containers index, truncate, substitute and slice;
-they have no arithmetic: the library expands every series with the
+construction.  The containers index, truncate and substitute; they
+have no arithmetic: the library expands every series with the
 division kernel in `generators` and the Euler-transform pair in
 `transforms`, and the dense algebra that checks those kernels is a test
 oracle.
@@ -18,7 +18,7 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 Coeff = int
 
@@ -44,17 +44,6 @@ class UniSeries:
         if len(self.coeffs) != self.trunc_order + 1:
             raise ValueError("need exactly trunc_order + 1 coefficients")
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
-
-    @classmethod
-    def from_terms(cls, trunc_order: int, terms: Mapping[int, Coeff]) -> UniSeries:
-        """Series of a sparse polynomial; terms beyond the truncation are dropped."""
-        data = [0] * (trunc_order + 1)
-        for degree, coeff in terms.items():
-            if degree < 0:
-                raise ValueError("negative degrees are not representable")
-            if degree <= trunc_order:
-                data[degree] = coeff
-        return cls(trunc_order, tuple(data))
 
     def __getitem__(self, degree: int) -> Coeff:
         if not 0 <= degree <= self.trunc_order:
@@ -104,15 +93,6 @@ class BiSeries:
                 raise ValueError(f"row {j} must hold exactly {width} coefficients")
         object.__setattr__(self, "coeffs", rows)
 
-    @property
-    def j_limit(self) -> int:
-        return self.max_weight // self.weight_x
-
-    def k_limit(self, j: int) -> int:
-        if not 0 <= j <= self.j_limit:
-            raise IndexOutOfRange(f"x-exponent {j} is outside the weight bound")
-        return (self.max_weight - j * self.weight_x) // self.weight_y
-
     def __getitem__(self, index: tuple[int, int]) -> Coeff:
         j, k = index
         if j < 0 or k < 0 or j * self.weight_x + k * self.weight_y > self.max_weight:
@@ -152,10 +132,6 @@ class BiSeries:
         for j, k, c in self.nonzero_terms():
             out[2 * j + k] += c
         return UniSeries(self.max_weight, tuple(out))
-
-    def slice_x(self, j: int) -> UniSeries:
-        """The series in y multiplying x**j, exact where the bound allows."""
-        return UniSeries(self.k_limit(j), self.coeffs[j])
 
 
 def _zero_rows(weight_x: int, weight_y: int, max_weight: int) -> list[list[Coeff]]:

@@ -3,35 +3,35 @@
 The Euler transform maps graded exponents {e_m} to the series
 prod_m (1 - y**m)**(-e_m); with nonnegative exponents its coefficients
 count multisets of graded objects.  `euler_expand` is its one entry
-point, turning the primitive counts P_m into V_m and F_m.  Peeling
-inverts it over one grading (`peel_uni`) or two (`peel_bi`, monomials
-x**j * y**d): given a series with constant term 1 it recovers the
-exponents.  The peel takes two sign conventions, a product of inverse
-factors and a plain product; they differ by one negation of the exponent
-family.
+point, turning the primitive counts P_m into V_m and F_m over the one
+grading, the degree.  Peeling inverts it over one grading (`peel_uni`)
+or two (`peel_bi`, monomials x**j * y**d): given a series with constant
+term 1 it recovers the exponents.  The peel takes two sign conventions,
+a product of inverse factors and a plain product; they differ by one
+negation of the exponent family.
 
 Exponent families are plain mappings, ``{degree: exponent}`` for one
 grading and ``{(j, d): exponent}`` for two.  Absent indices mean zero.
-A one-grading series is the j = 0 row of a two-grading grid, so the
-forward kernel and the peel share one grid and its helpers.
+Only the peel works on a weighted grid; a one-grading series is its
+j = 0 row.
 
 Both directions use the log-derivative recurrence of Bernstein and Sloane
-("Some canonical sequences of integers", 1995), generalised to a weighted
-grid.  With wt(n) the total weight of monomial n, applying the weighted
-Euler operator E to log F turns the product into
+("Some canonical sequences of integers", 1995).  With wt(n) the total
+weight of monomial n (the degree n itself over one grading), applying
+the weighted Euler operator E to log F turns the product into
 
     wt(n) * a_n = sum_{0 < k <= n} c_k * a_{n-k},
     c_n = sum_{k | n} wt(k) * e_k,
 
 where k <= n is componentwise and k | n means n = t*k for an integer
 t >= 1, so c = E(F)/F.  Forward, `euler_expand` builds c from e and then
-a from c by the recurrence.  A product of integer factors has integer
-a_n, so the division by wt(n) is exact; it is checked anyway.  The peel
-takes F as a quotient N / prod(f), a series being the quotient F / 1,
-and gets c = E(N)/N - sum_f E(f)/f by one sparse division per
-polynomial, never expanding F.  Moebius inversion over the multiples then
-recovers e from c.  An inexact division by wt(n) there is exactly the
-case where no integer exponent family exists, so it raises
+a from c by the recurrence over the degree.  A product of integer
+factors has integer a_n, so the division by n is exact; it is checked
+anyway.  The peel takes F as a quotient N / prod(f), a series being the
+quotient F / 1, and gets c = E(N)/N - sum_f E(f)/f by one sparse
+division per polynomial, never expanding F.  Moebius inversion over the
+multiples then recovers e from c.  An inexact division by wt(n) there is
+exactly the case where no integer exponent family exists, so it raises
 NonIntegerExponent instead of producing a rational.
 """
 
@@ -83,35 +83,12 @@ def _monomials(weight_x: int, weight_y: int, max_weight: int) -> list[tuple[int,
     )
 
 
-def _convolve(c: list[list[Coeff]], a: Sequence[Sequence[Coeff]], j: int, d: int) -> Coeff:
-    """sum over k <= (j, d) componentwise of c_k * a_{(j, d) - k}."""
-    return sum(sum(map(mul, c[i][: d + 1], a[j - i][d::-1])) for i in range(j + 1))
-
-
 def _add_to_multiples(rows: list[list[Coeff]], j: int, d: int, value: Coeff) -> None:
     """Add value at t * (j, d) for every t >= 1 that lies in the grid."""
     t = 1
     while t * j < len(rows) and t * d < len(rows[t * j]):
         rows[t * j][t * d] += value
         t += 1
-
-
-def _euler(
-    exponents: Mapping[Monomial, int], weight_x: int, weight_y: int, max_weight: int
-) -> list[list[Coeff]]:
-    """Coefficient rows of prod_n (1 - x**j * y**d)**(-e_n), n = (j, d) != (0, 0)."""
-    if max_weight < 0:
-        raise ValueError(f"grid needs a weight bound >= 0, got {max_weight}")
-    c = _zero_rows(weight_x, weight_y, max_weight)
-    for (j, d), e in exponents.items():
-        _add_to_multiples(c, j, d, (weight_x * j + weight_y * d) * e)
-    a = _zero_rows(weight_x, weight_y, max_weight)
-    a[0][0] = 1
-    for wt, d, j in _monomials(weight_x, weight_y, max_weight):
-        a[j][d], rest = divmod(_convolve(c, a, j, d), wt)
-        if rest:
-            raise ArithmeticError(f"inexact division by weight {wt} at monomial {(j, d)}")
-    return a
 
 
 def _exponents(
@@ -165,9 +142,16 @@ def euler_expand(exponents: Mapping[int, int], min_degree: int, trunc_order: int
     for m, e in exponents.items():
         if e < 0:
             raise NegativeExponent(f"exponent {e} at degree {m}")
-    keyed = {(0, m): e for m, e in exponents.items() if m >= min_degree}
-    (row,) = _euler(keyed, trunc_order + 1, 1, trunc_order)
-    return UniSeries(trunc_order, tuple(row))
+    c = [0] * (trunc_order + 1)
+    for m, e in exponents.items():
+        if m >= min_degree:
+            c[m::m] = [x + m * e for x in c[m::m]]
+    a = [1] + [0] * trunc_order
+    for n in range(1, trunc_order + 1):
+        a[n], rest = divmod(sum(map(mul, c[1 : n + 1], a[n - 1 :: -1])), n)
+        if rest:
+            raise ArithmeticError(f"inexact division at degree {n}")
+    return UniSeries(trunc_order, tuple(a))
 
 
 def peel_uni(series: UniSeries, form: str) -> dict[int, int]:

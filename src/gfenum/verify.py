@@ -52,7 +52,7 @@ _DUAL_ROUTE_DEGREE = 40
 
 
 class ReferenceFormatError(ValueError):
-    """A reference file that is not UTF-8, or a line that is not a well-formed claim."""
+    """A reference file that is not UTF-8 or holds no claim, or a malformed claim line."""
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,6 @@ class VerificationReport:
     def ok(self) -> bool:
         return self.failed == 0
 
-    def failing_ids(self) -> list[str]:
-        return [r.claim_id for r in self.results if not r.ok]
-
 
 def default_data_path():
     return files("gfenum").joinpath("data/reference.tsv")
@@ -127,6 +124,8 @@ def load_reference(path) -> list[ReferenceEntry]:
         if kind not in KINDS:
             raise ReferenceFormatError(f"{path}: line {lineno}: unknown claim kind {kind!r}")
         entries.append(ReferenceEntry(claim_id, location, kind, payload))
+    if not entries:  # an empty or comments-only file would pass vacuously
+        raise ReferenceFormatError(f"{path}: no claims")
     return entries
 
 
@@ -194,7 +193,7 @@ _CLAIMS = (
     (r"mzv:depth1", lambda: [_zeta(w, 1) for w in range(3, 22, 2)]),
     (r"mzv:depth2", lambda: [_zeta(8 + 2 * j, 2) for j in range((_MZV_WEIGHT - 8) // 2 + 1)]),
     (r"mzv:d3d", lambda: [_zeta(3 * d, d) for d in range(1, DEPTH_DIAGONAL_CHECKED_MAX + 1)]),
-    (r"mzv:x0slice", lambda: list(build_mzv_rhs(_MZV_WEIGHT).slice_x(0).coeffs)),
+    (r"mzv:x0slice", lambda: list(build_mzv_rhs(_MZV_WEIGHT).coeffs[0])),
     (r"const:r", lambda: growth_root()),
     (r"const:C", lambda: growth_constant()),
     (rf"identity:({'|'.join(_IDENTITIES)})", lambda name: int(_IDENTITIES[name]())),

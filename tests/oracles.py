@@ -1,15 +1,16 @@
 """Test-only oracles that never call the library's transform or division kernels.
 
 The dense series algebra lives here, not in the library: constructors
-(`uni_from_coeffs`, `bi_from_terms`, the ones and zeros), sums and
-differences, schoolbook products (`uni_mul`, `bi_mul`) and term-by-term
-inverses (`uni_inverse`, `bi_inverse`) over the `UniSeries` and
-`BiSeries` containers, and the forward Euler product built from them
-(`product_oracle`).  A sum or product is valid exactly through the
-minimum truncation of its operands.  The generator assemblies below use
-only these, so they are an independent reference for the division kernel;
-the multiset count uses no series at all.  `scaled_floats` keeps the
-series route's float rescaling in the form it was first written.
+(`uni_from_coeffs`, `uni_from_terms`, `bi_from_terms`, the ones and
+zeros), the x = 0 row (`bi_x0_row`), sums and differences, schoolbook
+products (`uni_mul`, `bi_mul`) and term-by-term inverses (`uni_inverse`,
+`bi_inverse`) over the `UniSeries` and `BiSeries` containers, and the
+forward Euler product built from them (`product_oracle`).  A sum or
+product is valid exactly through the minimum truncation of its operands.
+The generator assemblies below use only these, so they are an
+independent reference for the division kernel; the multiset count uses
+no series at all.  `scaled_floats` keeps the series route's float
+rescaling in the form it was first written.
 """
 
 import math
@@ -34,12 +35,23 @@ def uni_from_coeffs(coeffs, trunc_order=None):
     return UniSeries(trunc_order, tuple(data))
 
 
+def uni_from_terms(trunc_order, terms):
+    """Series of a sparse polynomial; terms beyond the truncation are dropped."""
+    data = [0] * (trunc_order + 1)
+    for degree, coeff in terms.items():
+        if degree < 0:
+            raise ValueError("negative degrees are not representable")
+        if degree <= trunc_order:
+            data[degree] = coeff
+    return UniSeries(trunc_order, tuple(data))
+
+
 def uni_one(trunc_order):
-    return UniSeries.from_terms(trunc_order, {0: 1})
+    return uni_from_terms(trunc_order, {0: 1})
 
 
 def uni_zero(trunc_order):
-    return UniSeries.from_terms(trunc_order, {})
+    return uni_from_terms(trunc_order, {})
 
 
 def uni_neg(a):
@@ -64,6 +76,11 @@ def bi_from_terms(weight_x, weight_y, max_weight, terms):
         if j * weight_x + k * weight_y <= max_weight:
             rows[j][k] = coeff
     return BiSeries(weight_x, weight_y, max_weight, rows)
+
+
+def bi_x0_row(a):
+    """The series in y multiplying x**0, exact through the weight bound."""
+    return UniSeries(len(a.coeffs[0]) - 1, a.coeffs[0])
 
 
 def bi_one(weight_x, weight_y, max_weight):
@@ -176,7 +193,7 @@ def bi_inverse(a):
             if j == 0 and k == 0:
                 continue
             acc = 0
-            for j1 in range(min(j, a.j_limit) + 1):
+            for j1 in range(min(j + 1, len(a.coeffs))):
                 row = a.coeffs[j1]
                 for k1 in range(min(k, len(row) - 1) + 1):
                     if j1 == 0 and k1 == 0:
@@ -258,12 +275,12 @@ def build_b_dense(max_weight):
     w = max_weight
     base = uni_inverse(
         uni_mul(
-            uni_mul(UniSeries.from_terms(w, _one_minus(1)), UniSeries.from_terms(w, _one_minus(2))),
-            UniSeries.from_terms(w, _one_minus(3)),
+            uni_mul(uni_from_terms(w, _one_minus(1)), uni_from_terms(w, _one_minus(2))),
+            uni_from_terms(w, _one_minus(3)),
         )
     )
-    b2 = uni_mul(base, UniSeries.from_terms(w, {0: 1, 1: 1}))
-    b3 = uni_mul(base, UniSeries.from_terms(w, _one_minus(3)))
+    b2 = uni_mul(base, uni_from_terms(w, {0: 1, 1: 1}))
+    b3 = uni_mul(base, uni_from_terms(w, _one_minus(3)))
     b4 = uni_sub(base, uni_one(w))
 
     inv_x3 = bi_inverse(bi_from_terms(2, 1, w, {(0, 0): 1, (3, 0): -1}))

@@ -16,10 +16,9 @@ from gfenum.asymptotics import (
     ratio_table,
 )
 from gfenum.generators import _P_FACTORS, _P_NUMERATOR, p_closed, primitive_counts
-from gfenum.series import UniSeries
 
 from literals import GROWTH_CONSTANT, GROWTH_ROOT
-from oracles import scaled_floats, uni_inverse, uni_mul
+from oracles import scaled_floats, uni_from_terms, uni_inverse, uni_mul
 
 
 class TestGrowthRoot:
@@ -85,16 +84,16 @@ class TestGrowthConstant:
     def test_gap_recurrence_matches_the_closed_expansion(self):
         # the sparse recurrence against dense inverse-then-multiply products
         for n in (40, 200):
-            oracle = UniSeries.from_terms(n, _P_NUMERATOR)
+            oracle = uni_from_terms(n, _P_NUMERATOR)
             for factor in _P_FACTORS:
-                oracle = uni_mul(oracle, uni_inverse(UniSeries.from_terms(n, factor)))
+                oracle = uni_mul(oracle, uni_inverse(uni_from_terms(n, factor)))
             assert p_closed(n) == oracle
 
     def test_closed_expansion_satisfies_its_recurrence_far_out(self):
         # D = prod(_P_FACTORS) multiplied out densely; sum_k D_k * a_{n-k} = N_n for all n
-        denominator = UniSeries.from_terms(16, {0: 1})
+        denominator = uni_from_terms(16, {0: 1})
         for factor in _P_FACTORS:
-            denominator = uni_mul(denominator, UniSeries.from_terms(16, factor))
+            denominator = uni_mul(denominator, uni_from_terms(16, factor))
         lags = [(k, c) for k, c in enumerate(denominator.coeffs) if c]
         assert len(lags) == 15 and lags[-1][0] == 16
         a = p_closed(20000).coeffs

@@ -214,6 +214,15 @@ class TestExitCodes:
         assert code == 2
         assert len(err.splitlines()) == 1 and "4 tab-separated" in err
 
+    @pytest.mark.parametrize("text", ["", "# comment\n\n"], ids=["empty", "comments-only"])
+    def test_a_reference_file_without_claims_is_a_usage_error(self, capsys, tmp_path, text):
+        bare = tmp_path / "bare.tsv"
+        bare.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", "--data", str(bare))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "bare.tsv: no claims" in err
+        assert "Traceback" not in err
+
     def test_a_reference_file_that_is_not_utf8_is_a_usage_error(self, capsys, tmp_path):
         undecodable = tmp_path / "undecodable.tsv"
         undecodable.write_bytes(b"\xff")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gfenum import mzv
 from gfenum.generators import primitive_counts
-from gfenum.series import BiSeries, UniSeries
+from gfenum.series import BiSeries
 from gfenum.transforms import (
     PRODUCT_OF_INVERSES,
     PRODUCT_PLAIN,
@@ -23,10 +23,12 @@ from gfenum.transforms import (
 from literals import DEPTH_DIAGONAL_7, F20, V20
 from oracles import (
     bi_from_terms,
+    bi_x0_row,
     bi_zero,
     multiset_oracle,
     product_oracle,
     uni_from_coeffs,
+    uni_from_terms,
     uni_inverse,
     uni_one,
 )
@@ -115,7 +117,7 @@ class TestOutOfGradingKeys:
 
 class TestGridValidation:
     def test_negative_truncation_order_rejected(self):
-        with pytest.raises(ValueError, match="grid"):
+        with pytest.raises(ValueError, match="truncation order"):
             euler_expand({1: 1}, 1, -1)
 
     # the peel reads its grid off a BiSeries, whose construction checks it
@@ -131,26 +133,30 @@ class TestGridValidation:
 
 class TestPeelUni:
     def test_quadrinacci_depth_diagonal(self):
-        generator = uni_inverse(UniSeries.from_terms(12, {0: 1, 1: -1, 4: -1}))
+        generator = uni_inverse(uni_from_terms(12, {0: 1, 1: -1, 4: -1}))
         exponents = peel_uni(generator, PRODUCT_OF_INVERSES)
         assert [exponents.get(d, 0) for d in range(1, 8)] == DEPTH_DIAGONAL_7
         assert [exponents.get(d, 0) for d in range(8, 13)] == [1, 2, 2, 3, 3]
 
     def test_both_conventions_agree_on_reciprocal_inputs(self):
-        poly = UniSeries.from_terms(12, {0: 1, 1: -1, 4: -1})
+        poly = uni_from_terms(12, {0: 1, 1: -1, 4: -1})
         assert peel_uni(poly, PRODUCT_PLAIN) == peel_uni(uni_inverse(poly), PRODUCT_OF_INVERSES)
 
     def test_reexpansion_reproduces_the_input(self):
-        generator = uni_inverse(UniSeries.from_terms(12, {0: 1, 1: -1, 4: -1}))
+        generator = uni_inverse(uni_from_terms(12, {0: 1, 1: -1, 4: -1}))
         exponents = peel_uni(generator, PRODUCT_OF_INVERSES)
         assert euler_expand(exponents, 1, 12) == generator
         # and against arithmetic that never touches the library expander
         assert list(generator.coeffs) == naive_product_expansion(exponents, 12)
 
-    def test_primitive_count_roundtrip(self):
-        exponents = {m + 1: p for m, p in enumerate(primitive_counts(12))}
-        series = euler_expand(exponents, 1, 12)
-        assert peel_uni(series, PRODUCT_OF_INVERSES) == exponents
+    # 320 is the largest euler_pair size of the deep benchmark workload
+    @pytest.mark.parametrize("n", [12, 320])
+    @pytest.mark.parametrize("min_degree", [1, 2])
+    def test_primitive_count_roundtrip(self, min_degree, n):
+        exponents = {m + 1: p for m, p in enumerate(primitive_counts(n))}
+        series = euler_expand(exponents, min_degree, n)
+        kept = {m: p for m, p in exponents.items() if m >= min_degree}
+        assert peel_uni(series, PRODUCT_OF_INVERSES) == kept
 
     def test_peel_of_one_is_empty(self):
         assert peel_uni(uni_one(9), PRODUCT_PLAIN) == {}
@@ -177,7 +183,7 @@ class TestPeelUni:
     @settings(deadline=None)
     def test_roundtrip_property(self, exponents, form):
         keyed = {(0, m): e for m, e in exponents.items()}
-        series = product_oracle(keyed, 13, 1, 12, SIGN[form]).slice_x(0)
+        series = bi_x0_row(product_oracle(keyed, 13, 1, 12, SIGN[form]))
         assert peel_uni(series, form) == exponents
 
 

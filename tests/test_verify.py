@@ -4,6 +4,7 @@ import gfenum.verify as verify
 from gfenum.verify import (
     ReferenceEntry,
     ReferenceFormatError,
+    VerificationReport,
     default_data_path,
     load_reference,
     resolve_data_path,
@@ -20,6 +21,10 @@ def reference_lines():
     return default_data_path().read_text(encoding="utf-8").splitlines()
 
 
+def failing_ids(report):
+    return [r.claim_id for r in report.results if not r.ok]
+
+
 def mutate_payload(payload: str) -> str:
     """Bump the first numeric component so the claim must fail."""
     head, sep, tail = payload.partition(",")
@@ -29,6 +34,9 @@ def mutate_payload(payload: str) -> str:
 
 
 class TestReferenceFile:
+    def test_the_verification_report_has_no_test_only_methods(self):
+        assert not hasattr(VerificationReport, "failing_ids")
+
     def test_shipped_set_passes(self):
         report = run_all()
         assert report.ok
@@ -97,7 +105,7 @@ class TestMutations:
             mutated[index] = "\t".join(broken)
             target.write_text("\n".join(mutated) + "\n", encoding="utf-8")
             report = run_all(target)
-            assert report.failing_ids() == [fields[0]], fields[0]
+            assert failing_ids(report) == [fields[0]], fields[0]
 
     def test_environment_variable_override(self, tmp_path, monkeypatch):
         lines = reference_lines()
@@ -109,7 +117,7 @@ class TestMutations:
         monkeypatch.setenv("GFENUM_DATA", str(target))
         assert resolve_data_path() == target
         report = run_all()
-        assert report.failing_ids() == ["seq:P"]
+        assert failing_ids(report) == ["seq:P"]
 
     def test_explicit_path_wins_over_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GFENUM_DATA", str(tmp_path / "missing.tsv"))
@@ -143,6 +151,13 @@ class TestFileFormat:
         report = run_all(marked)
         assert report.ok and report.passed == 91
 
+    @pytest.mark.parametrize("text", ["", "# comment\n\n"], ids=["empty", "comments-only"])
+    def test_a_file_without_claims_is_rejected(self, tmp_path, text):
+        bare = tmp_path / "bare.tsv"
+        bare.write_text(text, encoding="utf-8")
+        with pytest.raises(ReferenceFormatError, match="bare.tsv: no claims"):
+            load_reference(bare)
+
     def test_comments_and_blanks_are_skipped(self, tmp_path):
         ok = tmp_path / "ok.tsv"
         ok.write_text("# comment\n\nconst:r\tx\tdecimal_constant\t1.38027756909761,1e-12\n")
@@ -155,7 +170,7 @@ class TestFileFormat:
         data = tmp_path / "odd.tsv"
         data.write_text("nonsense:claim\tx\texact_value\t1\n", encoding="utf-8")
         report = run_all(data)
-        assert report.failing_ids() == ["nonsense:claim"]
+        assert failing_ids(report) == ["nonsense:claim"]
         assert report.results[0].actual == "unrecognized claim id"
 
     @pytest.mark.parametrize(
@@ -190,7 +205,7 @@ class TestClaimKinds:
         assert run_all(data).ok
         data.write_text("table1:m12:u06\tx\tlower_bound\t16\n", encoding="utf-8")
         report = run_all(data)
-        assert report.failing_ids() == ["table1:m12:u06"]
+        assert failing_ids(report) == ["table1:m12:u06"]
         assert (report.results[0].expected, report.results[0].actual) == ("16", "15")
 
 
@@ -263,5 +278,5 @@ class TestMalformedPayloads:
         data = tmp_path / "identity.tsv"
         data.write_text("identity:no-such-identity\tx\texact_value\t1\n", encoding="utf-8")
         report = run_all(data)
-        assert report.failing_ids() == ["identity:no-such-identity"]
+        assert failing_ids(report) == ["identity:no-such-identity"]
         assert report.results[0].actual == "unrecognized claim id"
