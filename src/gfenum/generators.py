@@ -19,12 +19,11 @@ agree coefficient for coefficient; `verify` enforces that.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
-from functools import wraps
+from functools import lru_cache, wraps
 from itertools import accumulate, repeat
 from operator import add, mul, sub
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .series import BiSeries, IndexOutOfRange, UniSeries, _zero_rows
 
@@ -40,50 +39,34 @@ class UnsupportedColumn(ValueError):
 Poly = Mapping[int, int]
 Terms = Mapping[tuple[int, int], int]  # {(j, d): coeff} for monomials x**j * y**d
 
-_CacheInfo = namedtuple("_CacheInfo", "hits misses currsize")
 
+def _grown(name: str, least: int):
+    """Memoise a prefix-stable expansion on ``functools.lru_cache``, growing it by doubling.
 
-def _grown(cut: Callable, name: str, least: int):
-    """Memoise a prefix-stable expansion by size, growing one expansion by doubling.
-
-    The first call expands exactly its size; a size above the largest
-    expansion so far expands max(size, 2 * largest) once; a smaller one
-    is ``cut(largest, size)``, never expanded.  Every value served is
-    memoised, so a revisit is one dict lookup.  A size below ``least``
-    raises before the cache is read.  ``cache_info()`` and
-    ``cache_clear()`` act as on ``functools.lru_cache``; a clear also
-    drops the largest expansion.
+    A miss above the largest expansion expands max(size, 2 * largest), the first miss exactly
+    its size; any other miss is the largest's ``truncate(size)``.  A size below ``least`` raises.
     """
 
     def decorate(expand):
-        served = {}
-        hits = misses = 0
-        largest = -1  # no expansion yet, so the first one is exactly its size
+        largest = {}  # the largest expansion so far, keyed by its size
 
-        @wraps(expand)
-        def grown(size):
-            nonlocal hits, misses, largest
+        def grow(size):
             if size < least:
                 raise ValueError(f"{name} must be >= {least}")
-            if size in served:
-                hits += 1
-                return served[size]
-            misses += 1
-            if size > largest:
-                top = max(size, 2 * largest)
-                served[top] = expand(top)
-                largest = top
-            if size not in served:
-                served[size] = cut(served[largest], size)
-            return served[size]
+            top = max(largest, default=-1)
+            if size > top:
+                top = max(size, 2 * top)
+                largest.clear()
+                largest[top] = expand(top)
+            return largest[top] if size == top else largest[top].truncate(size)
 
-        def cache_clear() -> None:
-            nonlocal hits, misses, largest
-            served.clear()
-            hits = misses = 0
-            largest = -1
+        grown = wraps(expand)(lru_cache(maxsize=None)(grow))  # __wrapped__ is expand, not grow
+        clear = grown.cache_clear
 
-        grown.cache_info = lambda: _CacheInfo(hits, misses, len(served))
+        def cache_clear() -> None:  # clears the lru_cache and drops the largest expansion
+            clear()
+            largest.clear()
+
         grown.cache_clear = cache_clear
         return grown
 
@@ -160,7 +143,7 @@ _P_NUMERATOR = {4: 1, 8: -1, 10: -1, 12: -1, 17: -1}
 _P_FACTORS = (_one_minus(1), _one_minus(2), _one_minus(3), _one_minus(6), _one_minus(1, 4))
 
 
-@_grown(UniSeries.truncate, "max_m", 1)
+@_grown("max_m", 1)
 def p_closed(max_m: int) -> UniSeries:
     """sum_m (P_m - 1) y**m from the closed rational form; P_m = coeff + 1."""
     return _expand_uni(_P_NUMERATOR, _P_FACTORS, max_m)
@@ -180,7 +163,7 @@ _B_DENOMINATOR = (
 )
 
 
-@_grown(BiSeries.truncate, "max_weight", 0)
+@_grown("max_weight", 0)
 def build_b(max_weight: int) -> BiSeries:
     """The conjectured two-variable generator of beta(2j + k, 2j) - 1.
 
@@ -233,7 +216,7 @@ class BetaTable:
         return BetaTable(max_m, {key: n for key, n in self.entries.items() if key[0] <= max_m})
 
 
-@_grown(BetaTable.truncate, "max_m", 0)
+@_grown("max_m", 0)
 def beta_table(max_m: int) -> BetaTable:
     """Full table of beta values through degree max_m.
 
@@ -309,7 +292,7 @@ def floor_formula_col0(m: int) -> int:
     return 1 + ((m - 1) ** 2 + 3) // 12
 
 
-@_grown(UniSeries.truncate, "max_m", 1)
+@_grown("max_m", 1)
 def p_from_b(max_m: int) -> UniSeries:
     """sum_m (P_m - 1) y**m assembled from the two-variable generator.
 

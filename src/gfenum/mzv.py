@@ -102,7 +102,7 @@ class MzvCounts:
         return MzvCounts(max_weight, mzv, euler)
 
 
-@_grown(MzvCounts.truncate, "max_weight", 0)
+@_grown("max_weight", 0)
 def mzv_counts(max_weight: int) -> MzvCounts:
     """Peel both generators from their rational data and return the (w, d) count tables.
 

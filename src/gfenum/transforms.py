@@ -139,6 +139,8 @@ def euler_expand(exponents: Mapping[int, int], min_degree: int, trunc_order: int
     """Expand prod_{m >= min_degree} (1 - y**m)**(-e_m) through trunc_order."""
     if min_degree < 1:
         raise ValueError("min_degree must be >= 1")
+    if trunc_order < 0:
+        raise ValueError("truncation order must be >= 0")
     for m, e in exponents.items():
         if e < 0:
             raise NegativeExponent(f"exponent {e} at degree {m}")

@@ -1,12 +1,15 @@
 """The grow-once caches of build_b, p_closed, p_from_b, beta_table and mzv_counts are invisible.
 
-Each keeps one expansion, grown by doubling, and serves every smaller
-size as a cut of it.  Whatever order sizes are asked in, every value
-must equal the cold expansion at that size, invalid sizes must raise as
-they do cold, and cache_clear must drop everything.
+Each is a functools.lru_cache that keeps one expansion, grown by
+doubling, and serves every smaller size as that expansion's truncate.
+Whatever order sizes are asked in, every value must equal the cold
+expansion at that size (``__wrapped__``, which never touches the
+cache), invalid sizes must raise as they do cold, and cache_clear must
+drop everything, the expansion included.
 """
 
 import random
+from functools import lru_cache
 from unittest import mock
 
 import pytest
@@ -38,9 +41,10 @@ GROWN = [
 ]
 
 
-def expanded_sizes(grown, kernel, size_of, sizes):
-    """Call grown at each size from a cold cache; return the sizes the kernel expanded."""
-    grown.cache_clear()
+def expanded_sizes(grown, kernel, size_of, sizes, cold=True):
+    """Call grown at each size, from a cleared cache if cold; return the sizes the kernel expanded."""
+    if cold:
+        grown.cache_clear()
     with mock.patch.object(*kernel, wraps=getattr(*kernel)) as spy:
         for size in sizes:
             grown(size)
@@ -70,7 +74,8 @@ class TestGrownCache:
 
     def test_a_smaller_size_is_cut_and_memoised(self, grown, least, kernel, size_of):
         assert expanded_sizes(grown, kernel, size_of, [30, 10, 20, 10, 30]) == [30]
-        assert grown.cache_info() == (2, 3, 3)  # hits, misses, currsize
+        info = grown.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 3, 3)
 
     def test_clear_drops_the_expansion_and_the_next_call_recomputes(
         self, grown, least, kernel, size_of
@@ -79,7 +84,22 @@ class TestGrownCache:
         grown.cache_clear()
         assert grown.cache_info().currsize == 0
         assert expanded_sizes(grown, kernel, size_of, [20]) == [20]
-        assert grown.cache_info() == (0, 1, 1)
+        info = grown.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+
+    def test_the_wrapped_expansion_leaves_the_cache_alone(self, grown, least, kernel, size_of):
+        grown.cache_clear()
+        grown.__wrapped__(30)
+        assert grown.cache_info().currsize == 0
+        assert expanded_sizes(grown, kernel, size_of, [20], cold=False) == [20]
+
+    def test_a_failed_expansion_serves_cold_values_after(self, grown, least, kernel, size_of):
+        grown.cache_clear()
+        grown(12)
+        with mock.patch.object(*kernel, side_effect=MemoryError), pytest.raises(MemoryError):
+            grown(30)
+        for size in (20, 12, 6):
+            assert grown(size) == grown.__wrapped__(size), size
 
     def test_invalid_size_raises_warm_and_cold(self, grown, least, kernel, size_of):
         grown.cache_clear()
@@ -93,6 +113,10 @@ def test_every_size_keyed_cache_can_be_inspected_and_cleared():
     cached = {name for name in gfenum.__all__ if hasattr(getattr(gfenum, name), "cache_clear")}
     sized = {"beta_table", "build_b", "p_closed", "p_from_b", "mzv_counts"}
     assert cached == sized | {"growth_root", "growth_constant"}
+    cache_info = type(lru_cache(maxsize=None)(abs).cache_info())
+    for name in sorted(cached):
+        info = getattr(gfenum, name).cache_info()
+        assert type(info) is cache_info and info.maxsize is None, name
     for name in sorted(sized):
         function = getattr(gfenum, name)
         function(12)

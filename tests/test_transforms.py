@@ -116,9 +116,10 @@ class TestOutOfGradingKeys:
 
 
 class TestGridValidation:
-    def test_negative_truncation_order_rejected(self):
+    @pytest.mark.parametrize("trunc_order", [-1, -10**30])  # the second is past any list size
+    def test_negative_truncation_order_rejected(self, trunc_order):
         with pytest.raises(ValueError, match="truncation order"):
-            euler_expand({1: 1}, 1, -1)
+            euler_expand({1: 1}, 1, trunc_order)
 
     # the peel reads its grid off a BiSeries, whose construction checks it
     def test_negative_weight_bound_rejected(self):
