@@ -20,9 +20,9 @@ agree coefficient for coefficient; `verify` enforces that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import cached_property, lru_cache, wraps
 from itertools import accumulate, repeat
-from operator import add, mul, sub
+from operator import add, getitem, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .series import BiSeries, IndexOutOfRange, UniSeries, _zero_rows
@@ -185,10 +185,23 @@ def build_b(max_weight: int) -> BiSeries:
 
 @dataclass(frozen=True)
 class BetaTable:
-    """beta(m, u) for 0 <= m <= max_m, even u <= m, plus the (1, 2) entry."""
+    """beta(m, u) for 0 <= m <= max_m, even u <= m, plus the (1, 2) entry that ``get`` serves.
+
+    ``rows[m][u // 2]`` is beta(m, u), so a cut to a smaller degree is a slice sharing the rows.
+    """
 
     max_m: int
-    entries: Mapping[tuple[int, int], int]
+    rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        if self.max_m < 0:
+            raise ValueError("degree bound must be >= 0")
+
+    @cached_property
+    def entries(self) -> dict[tuple[int, int], int]:
+        """Every value keyed (m, u), (1, 2) included: built on first read, not by a cut."""
+        entries = {(m, 2 * i): n for m, row in enumerate(self.rows) for i, n in enumerate(row)}
+        return entries | {(1, 2): 1} if self.max_m else entries
 
     def get(self, m: int, u: int) -> int:
         if not 0 <= m <= self.max_m:
@@ -196,12 +209,10 @@ class BetaTable:
         if u < 0:
             raise IndexOutOfRange("univalent count must be >= 0")
         if (m, u) == (1, 2):
-            return self.entries[(1, 2)]
+            return 1
         if u > m:
             raise IndexOutOfRange(f"beta({m}, {u}) with u > m is undefined")
-        if u % 2:
-            return 0
-        return self.entries[(m, u)]
+        return 0 if u % 2 else self.rows[m][u // 2]
 
     def tally_terms(self, m: int) -> list[int]:
         """The u >= 2 contributions to the primitive count at degree m."""
@@ -210,10 +221,10 @@ class BetaTable:
         return [self.get(m, u) for u in range(2, m + 1, 2)]
 
     def truncate(self, max_m: int) -> BetaTable:
-        """The table through a smaller degree: the entries with m <= max_m, (1, 2) included."""
+        """The table through a smaller degree: a slice of the rows, sharing them."""
         if max_m > self.max_m:
             raise IndexOutOfRange(f"cannot extend degree bound {self.max_m} to {max_m}")
-        return BetaTable(max_m, {key: n for key, n in self.entries.items() if key[0] <= max_m})
+        return BetaTable(max_m, self.rows[: max_m + 1])
 
 
 @_grown("max_m", 0)
@@ -221,17 +232,11 @@ def beta_table(max_m: int) -> BetaTable:
     """Full table of beta values through degree max_m.
 
     Built from the two-variable generator at matching weight, so no entry
-    can silently read a stale zero; odd-u entries are zero by convention
-    and beta(1, 2) = 1 is inserted explicitly.
+    can silently read a stale zero; odd-u entries are zero by convention.
     """
-    b = build_b(max_m)
-    entries: dict[tuple[int, int], int] = {}
-    for m in range(max_m + 1):
-        for u in range(0, m + 1, 2):
-            entries[(m, u)] = b[(u // 2, m - u)] + 1
-    if max_m >= 1:
-        entries[(1, 2)] = 1
-    return BetaTable(max_m, entries)
+    coeffs = build_b(max_m).coeffs  # coeffs[j][m - 2j] = beta(m, 2j) - 1
+    rows = (map(getitem, coeffs, range(m, -1, -2)) for m in range(max_m + 1))
+    return BetaTable(max_m, tuple(tuple(map(add, row, repeat(1))) for row in rows))
 
 
 # The diagonal generators as sums of x**a / prod_t (1 - x**t), one

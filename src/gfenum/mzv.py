@@ -15,6 +15,7 @@ output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Mapping
 
 from .generators import _expand_rational, _grown, g_series
@@ -64,7 +65,8 @@ class MzvCounts:
     """Irreducible counts by (weight, depth), for the full grid w <= max_weight.
 
     ``mzv`` holds the zeta-value counts, ``euler`` the alternating-sum
-    counts.  Zero entries are stored too: a vanishing count is data.  The
+    counts.  Zero entries are stored too: a vanishing count is data.  Both
+    hold the grid keys in increasing (w, d) order, so a cut is a prefix.  The
     two tables first differ at weight 12, at depth 2 (D = 1, M = 2) and at
     depth 4 (D = 1, M = 0), and the two differences cancel: forgetting
     depth (x = X**2, y = X**3, where y**2 - x**3 vanishes) turns both
@@ -76,16 +78,18 @@ class MzvCounts:
     mzv: Mapping[tuple[int, int], int]
     euler: Mapping[tuple[int, int], int]
 
+    def __post_init__(self) -> None:
+        if self.max_weight < 0:
+            raise ValueError("weight bound must be >= 0")
+
     def grid(self) -> list[tuple[int, int]]:
         """All (w, d) points with d >= 1 and w = 2j + 3d <= max_weight: the table keys."""
-        return sorted(self.mzv)
+        return list(self.mzv)
 
     def _lookup(self, table: Mapping[tuple[int, int], int], w: int, d: int) -> int:
         if w > self.max_weight:
             raise IndexOutOfRange(f"weight {w} exceeds the computed bound {self.max_weight}")
-        if d < 1 or w < 3 * d or (w - 3 * d) % 2:
-            return 0
-        return table[(w, d)]
+        return table.get((w, d), 0)  # the keys are the grid, so an off-grid point reads 0
 
     def mzv_count(self, w: int, d: int) -> int:
         return self._lookup(self.mzv, w, d)
@@ -94,11 +98,11 @@ class MzvCounts:
         return self._lookup(self.euler, w, d)
 
     def truncate(self, max_weight: int) -> MzvCounts:
-        """The tables through a smaller weight bound: both restricted to w <= max_weight."""
+        """The tables through a smaller weight bound: the same prefix of both dicts."""
         if max_weight > self.max_weight:
             raise IndexOutOfRange(f"cannot extend weight bound {self.max_weight} to {max_weight}")
-        mzv = {key: n for key, n in self.mzv.items() if key[0] <= max_weight}
-        euler = {key: n for key, n in self.euler.items() if key[0] <= max_weight}
+        size = sum((max_weight - 3 * d) // 2 + 1 for d in range(1, max_weight // 3 + 1))
+        mzv, euler = (dict(islice(table.items(), size)) for table in (self.mzv, self.euler))
         return MzvCounts(max_weight, mzv, euler)
 
 
@@ -111,25 +115,15 @@ def mzv_counts(max_weight: int) -> MzvCounts:
     shallow-depth diagonals against their pseudopolynomial forms and raise
     CrossCheckError on any mismatch.
     """
+    grid = [(w, d) for w in range(3, max_weight + 1) for d in range(2 - w % 2, w // 3 + 1, 2)]
     exps_mzv = _peel_rational(_MZV_NUMERATOR, _MZV_DENOMINATOR, 2, 3, max_weight)
     exps_eul = _peel_rational(_EUL_NUMERATOR, _EUL_DENOMINATOR, 2, 3, max_weight)
-    counts = MzvCounts(
-        max_weight,
-        _to_weight_depth(exps_mzv, max_weight),
-        _to_weight_depth(exps_eul, max_weight),
+    mzv, euler = (  # keyed (w, d) weight-major, so a cut is a prefix
+        {(w, d): e.get(((w - 3 * d) // 2, d), 0) for w, d in grid} for e in (exps_mzv, exps_eul)
     )
+    counts = MzvCounts(max_weight, mzv, euler)
     _cross_check_diagonals(counts)
     return counts
-
-
-def _to_weight_depth(
-    exponents: Mapping[tuple[int, int], int], max_weight: int
-) -> dict[tuple[int, int], int]:
-    table = {}
-    for d in range(1, max_weight // 3 + 1):
-        for j in range((max_weight - 3 * d) // 2 + 1):
-            table[(2 * j + 3 * d, d)] = exponents.get((j, d), 0)
-    return table
 
 
 def _cross_check_diagonals(counts: MzvCounts) -> None:

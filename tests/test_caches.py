@@ -5,7 +5,10 @@ doubling, and serves every smaller size as that expansion's truncate.
 Whatever order sizes are asked in, every value must equal the cold
 expansion at that size (``__wrapped__``, which never touches the
 cache), invalid sizes must raise as they do cold, and cache_clear must
-drop everything, the expansion included.
+drop everything, the expansion included.  A cut costs what it returns:
+a beta_table cut is a slice of the largest table's rows, and an
+mzv_counts cut is the same prefix of both dicts, whose keys run in
+increasing (w, d) order.
 """
 
 import random
@@ -16,8 +19,8 @@ import pytest
 
 import gfenum
 from gfenum import generators, mzv
-from gfenum.generators import beta_table, build_b, p_closed, p_from_b
-from gfenum.mzv import mzv_counts
+from gfenum.generators import BetaTable, beta_table, build_b, p_closed, p_from_b
+from gfenum.mzv import MzvCounts, mzv_counts
 from gfenum.series import IndexOutOfRange
 
 
@@ -133,3 +136,77 @@ def test_mzv_counts_cut_cannot_extend():
 def test_beta_table_cut_cannot_extend():
     with pytest.raises(IndexOutOfRange):
         beta_table(12).truncate(13)
+
+
+def _read(lookup, *index):
+    """lookup(*index), or the type of the exception it raises."""
+    try:
+        return lookup(*index)
+    except IndexOutOfRange as exc:
+        return type(exc)
+
+
+LARGEST = 40
+
+
+def test_every_beta_table_cut_equals_its_cold_expansion():
+    beta_table.cache_clear()
+    beta_table(LARGEST)
+    for size in range(LARGEST):
+        cut, cold = beta_table(size), beta_table.__wrapped__(size)
+        assert cut == cold, size  # the rows
+        assert cut.entries == cold.entries, size
+        assert list(cut.entries) == list(cold.entries), size
+        for m in range(-1, size + 2):
+            assert _read(cut.tally_terms, m) == _read(cold.tally_terms, m), (size, m)
+            for u in range(-1, m + 3):
+                assert _read(cut.get, m, u) == _read(cold.get, m, u), (size, m, u)
+
+
+def test_every_mzv_counts_cut_equals_its_cold_expansion():
+    mzv_counts.cache_clear()
+    mzv_counts(LARGEST)
+    for size in range(LARGEST):
+        cut, cold = mzv_counts(size), mzv_counts.__wrapped__(size)
+        assert cut == cold, size
+        for name in ("mzv", "euler"):
+            cut_table, cold_table = getattr(cut, name), getattr(cold, name)
+            assert cut_table == cold_table, (size, name)
+            assert list(cut_table) == list(cold_table) == sorted(cold_table), (size, name)
+        for w in range(-1, size + 2):
+            for d in range(-1, w // 3 + 2):
+                for lookup in ("mzv_count", "euler_count"):
+                    cut_value = _read(getattr(cut, lookup), w, d)
+                    assert cut_value == _read(getattr(cold, lookup), w, d), (size, lookup, w, d)
+
+
+def test_a_beta_table_cut_shares_the_rows_and_builds_no_entries():
+    beta_table.cache_clear()
+    largest = beta_table(LARGEST)
+    cut = beta_table(25)
+    assert len(cut.rows) == 26
+    assert all(row is whole for row, whole in zip(cut.rows, largest.rows))
+    for m in range(26):
+        cut.get(m, 0)
+        cut.tally_terms(m)
+    assert "entries" not in vars(cut) and "entries" not in vars(largest)
+    assert cut.entries[(25, 4)] == cut.get(25, 4)
+    assert "entries" in vars(cut) and "entries" not in vars(largest)
+
+
+@pytest.mark.parametrize("grown", [beta_table, mzv_counts], ids=["beta_table", "mzv_counts"])
+def test_a_cut_to_a_negative_bound_raises(grown):
+    grown.cache_clear()
+    with pytest.raises(ValueError, match="bound must be >= 0"):
+        grown(10).truncate(-3)
+
+
+def test_a_table_with_a_negative_bound_cannot_be_constructed():
+    with pytest.raises(ValueError, match="degree bound must be >= 0"):
+        BetaTable(-3, ())
+    with pytest.raises(ValueError, match="degree bound must be >= 0"):
+        BetaTable(-1, ())
+    with pytest.raises(ValueError, match="weight bound must be >= 0"):
+        MzvCounts(-3, {}, {})
+    assert BetaTable(0, ((1,),)).entries == {(0, 0): 1}
+    assert MzvCounts(0, {}, {}).grid() == []

@@ -132,6 +132,7 @@ class TestCounts:
         counts = mzv_counts(23)
         assert counts.mzv_count(10, 3) == 0  # parity excludes (10, 3)
         assert counts.mzv_count(5, 2) == 0  # below minimum weight 3d
+        assert counts.euler_count(9, 0) == counts.mzv_count(-3, -1) == 0  # depth below 1
         with pytest.raises(IndexOutOfRange):
             counts.mzv_count(24, 1)
 
