@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .generators import _P_FACTORS, _P_NUMERATOR, p_closed, primitive_counts
+from .series import _Frozen
 
 
 def _quartic(r: float) -> float:
@@ -150,15 +150,18 @@ def ratio_table(max_m: int) -> list[tuple[int, float]]:
     return [(m, counts[m - 1] / r ** m) for m in range(1, max_m + 1)]
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(_Frozen):
     """Growth root, limit constant and convergence diagnostics."""
 
-    root: float
-    constant: float
-    quartic_residual: float
-    reciprocal_residual: float
-    ratios: tuple[tuple[int, float], ...]
+    _fields = ("root", "constant", "quartic_residual", "reciprocal_residual", "ratios")
+
+    def __init__(self, root: float, constant: float, quartic_residual: float,
+                 reciprocal_residual: float, ratios: tuple[tuple[int, float], ...]) -> None:
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "quartic_residual", quartic_residual)
+        object.__setattr__(self, "reciprocal_residual", reciprocal_residual)
+        object.__setattr__(self, "ratios", ratios)
 
 
 def asymptotic_report(max_m: int = 40) -> AsymptoticReport:

@@ -8,48 +8,34 @@ byte-identical across runs for identical arguments.  Exit codes: 0
 success, 1 verification failures (``verify`` only), 2 usage error (a size
 outside its range, an unreadable or malformed reference file, an
 unwritable ``--output``), 3 internal consistency error.
+
+Each handler imports the modules it runs, so a subcommand loads only
+those, and the error types are imported only once an exception reaches
+``main``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__
-from .asymptotics import asymptotic_report, max_ratio_degree
-from .generators import beta_table, primitive_counts
-from .mzv import DEPTH_DIAGONAL_CHECKED_MAX, CrossCheckError, mzv_counts
-from .series import IndexOutOfRange, WeightMismatch
-from .transforms import (
-    NegativeExponent,
-    NonIntegerExponent,
-    NonUnitConstant,
-    euler_expand,
-)
-from .verify import ReferenceFormatError, run_all
-
-_INTERNAL_ERRORS = (
-    CrossCheckError,
-    IndexOutOfRange,
-    NegativeExponent,
-    NonIntegerExponent,
-    NonUnitConstant,
-    WeightMismatch,
-)
+from .series import _Record
 
 Cell = int | float | str
 
 
-@dataclass
-class OutputTable:
+class OutputTable(_Record):
     """A subcommand's table, its notes for stderr and its exit code; cells render by ``str``."""
 
-    columns: list[str]
-    rows: list[list[Cell]]
-    notes: list[str] = field(default_factory=list)
-    code: int = 0
+    _fields = ("columns", "rows", "notes", "code")
+
+    def __init__(self, columns: list[str], rows: list[list[Cell]],
+                 notes: list[str] | None = None, code: int = 0) -> None:
+        self.columns = columns
+        self.rows = rows
+        self.notes = [] if notes is None else notes
+        self.code = code
 
     def to_tsv(self) -> str:
         lines = ["\t".join(self.columns)]
@@ -58,6 +44,8 @@ class OutputTable:
         return "\n".join(lines) + "\n"
 
     def to_json(self, command: str) -> str:
+        import json
+
         doc = {
             "columns": self.columns,
             "rows": self.rows,
@@ -67,6 +55,8 @@ class OutputTable:
 
 
 def _beta_handler(args) -> OutputTable:
+    from .generators import beta_table
+
     max_m = args.max_degree
     table = beta_table(max_m)
     max_u = 0 if max_m == 0 else max(2, max_m - (max_m % 2))
@@ -79,6 +69,8 @@ def _beta_handler(args) -> OutputTable:
 
 
 def _primitives_handler(args) -> OutputTable:
+    from .generators import primitive_counts
+
     counts = primitive_counts(args.max_degree)
     rows: list[list[Cell]] = [[m + 1, c] for m, c in enumerate(counts)]
     return OutputTable(["m", "P_m"], rows)
@@ -88,6 +80,9 @@ def _euler_handler(min_degree: int, column: str):
     """A handler for the Euler transform of the P_m from ``min_degree`` on."""
 
     def handler(args) -> OutputTable:
+        from .generators import primitive_counts
+        from .transforms import euler_expand
+
         max_m = args.max_degree
         exponents = {m + 1: p for m, p in enumerate(primitive_counts(max_m))}
         series = euler_expand(exponents, min_degree, max_m)
@@ -98,6 +93,8 @@ def _euler_handler(min_degree: int, column: str):
 
 
 def _mzv_handler(args) -> OutputTable:
+    from .mzv import DEPTH_DIAGONAL_CHECKED_MAX, mzv_counts
+
     counts = mzv_counts(args.max_weight)
     euler_sums = args.euler_sums
     column = "M" if euler_sums else "D"
@@ -112,6 +109,8 @@ def _mzv_handler(args) -> OutputTable:
 
 
 def _asymptote_handler(args) -> OutputTable:
+    from .asymptotics import asymptotic_report
+
     report = asymptotic_report(args.max_degree)
     rows: list[list[Cell]] = [
         ["r", report.root],
@@ -125,6 +124,8 @@ def _asymptote_handler(args) -> OutputTable:
 
 
 def _verify_handler(args) -> OutputTable:
+    from .verify import run_all
+
     report = run_all(args.data)
     rows: list[list[Cell]] = [[r.claim_id, r.status, r.expected, r.actual] for r in report.results]
     notes = report.notes + [f"{report.passed} passed, {report.failed} failed"]
@@ -132,10 +133,17 @@ def _verify_handler(args) -> OutputTable:
     return OutputTable(columns, rows, notes, 0 if report.ok else 1)
 
 
+def _max_ratio_degree() -> int:
+    from .asymptotics import max_ratio_degree
+
+    return max_ratio_degree()
+
+
 # Subcommand -> (help, handler, size option, its minimum, its maximum, its
 # default), in the order of the help page.  verify takes no size.  Each
 # maximum but asymptote's keeps one run within about 2 s and 150 MB (the
-# README lists the cost at each); asymptote's is the largest finite r**m.
+# README lists the cost at each); asymptote's is the largest finite r**m,
+# read only when a size is parsed.
 _COMMANDS = {
     "beta": ("bigraded dimension grid", _beta_handler, "--max-degree", 0, 1000, 20),
     "primitives": ("primitive counts P_m", _primitives_handler, "--max-degree", 1, 20000, 20),
@@ -144,19 +152,20 @@ _COMMANDS = {
                "--max-degree", 1, 2000, 20),
     "mzv": ("irreducible counts by weight and depth", _mzv_handler, "--max-weight", 3, 300, 23),
     "asymptote": ("growth root, limit constant, ratios", _asymptote_handler,
-                  "--max-degree", 2, max_ratio_degree(), 40),
+                  "--max-degree", 2, _max_ratio_degree, 40),
     "verify": ("replay the reference data", _verify_handler, None, None, None, None),
 }
 
 
-def _size_in(minimum: int, maximum: int):
-    """An argparse type: an integer size in [minimum, maximum]."""
+def _size_in(minimum: int, maximum):
+    """An argparse type: an integer size in [minimum, maximum], a maximum int or its function."""
 
     def size(text: str) -> int:
         if int(text) < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}")
-        if int(text) > maximum:
-            raise argparse.ArgumentTypeError(f"must be <= {maximum}")
+        limit = maximum() if callable(maximum) else maximum
+        if int(text) > limit:
+            raise argparse.ArgumentTypeError(f"must be <= {limit}")
         return int(text)
 
     return size
@@ -188,6 +197,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _internal_errors() -> tuple[type[Exception], ...]:
+    from .mzv import CrossCheckError
+    from .series import IndexOutOfRange, WeightMismatch
+    from .transforms import NegativeExponent, NonIntegerExponent, NonUnitConstant
+
+    return (CrossCheckError, IndexOutOfRange, NegativeExponent, NonIntegerExponent,
+            NonUnitConstant, WeightMismatch)
+
+
+def _usage_errors() -> tuple[type[Exception], ...]:
+    from .verify import ReferenceFormatError
+
+    return (OSError, ReferenceFormatError)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -201,10 +225,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(rendered)
-    except _INTERNAL_ERRORS as exc:
+    except _internal_errors() as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ReferenceFormatError) as exc:  # verify's --data or the --output file
+    except _usage_errors() as exc:  # verify's --data or the --output file
         print(f"gfenum {args.command}: error: {exc}", file=sys.stderr)
         return 2
     if not args.output:

@@ -19,13 +19,12 @@ agree coefficient for coefficient; `verify` enforces that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from itertools import accumulate, repeat
 from operator import add, getitem, mul, sub
 from typing import Iterable, Mapping, Sequence
 
-from .series import BiSeries, IndexOutOfRange, UniSeries, _zero_rows
+from .series import BiSeries, IndexOutOfRange, UniSeries, _Frozen, _zero_rows
 
 
 class UnsupportedDiagonal(ValueError):
@@ -183,19 +182,19 @@ def build_b(max_weight: int) -> BiSeries:
     return BiSeries(2, 1, max_weight, rows)
 
 
-@dataclass(frozen=True)
-class BetaTable:
+class BetaTable(_Frozen):
     """beta(m, u) for 0 <= m <= max_m, even u <= m, plus the (1, 2) entry that ``get`` serves.
 
     ``rows[m][u // 2]`` is beta(m, u), so a cut to a smaller degree is a slice sharing the rows.
     """
 
-    max_m: int
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("max_m", "rows")
 
-    def __post_init__(self) -> None:
-        if self.max_m < 0:
+    def __init__(self, max_m: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        if max_m < 0:
             raise ValueError("degree bound must be >= 0")
+        object.__setattr__(self, "max_m", max_m)
+        object.__setattr__(self, "rows", rows)
 
     @cached_property
     def entries(self) -> dict[tuple[int, int], int]:

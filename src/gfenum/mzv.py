@@ -14,12 +14,11 @@ output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Mapping
 
 from .generators import _expand_rational, _grown, g_series
-from .series import BiSeries, IndexOutOfRange
+from .series import BiSeries, IndexOutOfRange, _Frozen
 from .transforms import _peel_rational
 
 DEPTH_DIAGONAL_CHECKED_MAX = 7
@@ -60,8 +59,7 @@ def build_eul_rhs(max_weight: int) -> BiSeries:
     return BiSeries(2, 3, max_weight, rows)
 
 
-@dataclass(frozen=True)
-class MzvCounts:
+class MzvCounts(_Frozen):
     """Irreducible counts by (weight, depth), for the full grid w <= max_weight.
 
     ``mzv`` holds the zeta-value counts, ``euler`` the alternating-sum
@@ -74,13 +72,15 @@ class MzvCounts:
     sum_d D(w, d) and sum_d M(w, d) agree at every weight.
     """
 
-    max_weight: int
-    mzv: Mapping[tuple[int, int], int]
-    euler: Mapping[tuple[int, int], int]
+    _fields = ("max_weight", "mzv", "euler")
 
-    def __post_init__(self) -> None:
-        if self.max_weight < 0:
+    def __init__(self, max_weight: int, mzv: Mapping[tuple[int, int], int],
+                 euler: Mapping[tuple[int, int], int]) -> None:
+        if max_weight < 0:
             raise ValueError("weight bound must be >= 0")
+        object.__setattr__(self, "max_weight", max_weight)
+        object.__setattr__(self, "mzv", mzv)
+        object.__setattr__(self, "euler", euler)
 
     def grid(self) -> list[tuple[int, int]]:
         """All (w, d) points with d >= 1 and w = 2j + 3d <= max_weight: the table keys."""

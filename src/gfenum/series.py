@@ -17,8 +17,7 @@ oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 Coeff = int
 
@@ -31,19 +30,49 @@ class IndexOutOfRange(IndexError):
     """Coefficient requested outside the declared truncation region."""
 
 
-@dataclass(frozen=True)
-class UniSeries:
+class _Record:
+    """A container with field-wise ``==`` and ``repr`` over its class's ``_fields``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A hashable `_Record` whose ``__init__`` sets each field once, by ``object.__setattr__``."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class UniSeries(_Frozen):
     """Power series in one variable, exact through degree ``trunc_order``."""
 
-    trunc_order: int
-    coeffs: tuple[Coeff, ...]
+    _fields = ("trunc_order", "coeffs")
 
-    def __post_init__(self) -> None:
-        if self.trunc_order < 0:
+    def __init__(self, trunc_order: int, coeffs: Sequence[Coeff]) -> None:
+        if trunc_order < 0:
             raise ValueError("truncation order must be >= 0")
-        if len(self.coeffs) != self.trunc_order + 1:
+        if len(coeffs) != trunc_order + 1:
             raise ValueError("need exactly trunc_order + 1 coefficients")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        object.__setattr__(self, "trunc_order", trunc_order)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     def __getitem__(self, degree: int) -> Coeff:
         if not 0 <= degree <= self.trunc_order:
@@ -64,8 +93,7 @@ def _row_length(weight_x: int, weight_y: int, max_weight: int, j: int) -> int:
     return (max_weight - j * weight_x) // weight_y + 1
 
 
-@dataclass(frozen=True)
-class BiSeries:
+class BiSeries(_Frozen):
     """Power series in two weighted variables, truncated by total weight.
 
     The coefficient of x**j * y**k is stored iff
@@ -73,24 +101,25 @@ class BiSeries:
     Rows may be given as lists; construction stores them as tuples.
     """
 
-    weight_x: int
-    weight_y: int
-    max_weight: int
-    coeffs: tuple[tuple[Coeff, ...], ...]
+    _fields = ("weight_x", "weight_y", "max_weight", "coeffs")
 
-    def __post_init__(self) -> None:
-        if self.weight_x < 1 or self.weight_y < 1:
+    def __init__(
+        self, weight_x: int, weight_y: int, max_weight: int, coeffs: Sequence[Sequence[Coeff]]
+    ) -> None:
+        if weight_x < 1 or weight_y < 1:
             raise ValueError("variable weights must be positive integers")
-        if self.max_weight < 0:
+        if max_weight < 0:
             raise ValueError("max_weight must be >= 0")
-        jmax = self.max_weight // self.weight_x
-        if len(self.coeffs) != jmax + 1:
+        if len(coeffs) != max_weight // weight_x + 1:
             raise ValueError("row count does not match the weight bound")
-        rows = tuple(tuple(row) for row in self.coeffs)
+        rows = tuple(tuple(row) for row in coeffs)
         for j, row in enumerate(rows):
-            width = _row_length(self.weight_x, self.weight_y, self.max_weight, j)
+            width = _row_length(weight_x, weight_y, max_weight, j)
             if len(row) != width:
                 raise ValueError(f"row {j} must hold exactly {width} coefficients")
+        object.__setattr__(self, "weight_x", weight_x)
+        object.__setattr__(self, "weight_y", weight_y)
+        object.__setattr__(self, "max_weight", max_weight)
         object.__setattr__(self, "coeffs", rows)
 
     def __getitem__(self, index: tuple[int, int]) -> Coeff:

@@ -10,6 +10,10 @@ it can be audited independently of the code.  Claim kinds:
   sequence          payload is comma-separated integers, compared elementwise
   decimal_constant  payload is ``value,tolerance``, compared within tolerance
 
+The three integer kinds compare an int value, ``sequence`` a list and
+``decimal_constant`` a float; a claim whose kind does not fit its value
+fails as malformed.
+
 Every integer is written ``-?[0-9]+``: no empty field, space, ``+`` or ``_``.
 
 Claim ids are structured (``table1:m05:u02``, ``seq:P``, ``tally:m16``,
@@ -25,7 +29,6 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
 from importlib.resources import files
 from math import isfinite
 from pathlib import Path
@@ -41,10 +44,17 @@ from .generators import (
     primitive_counts,
 )
 from .mzv import DEPTH_DIAGONAL_CHECKED_MAX, build_mzv_rhs, mzv_counts
-from .series import IndexOutOfRange
+from .series import IndexOutOfRange, _Frozen, _Record
 from .transforms import euler_expand
 
-KINDS = ("exact_value", "lower_bound", "saturated_bound", "sequence", "decimal_constant")
+# Claim kind -> the type of engine value it compares; any other value fails the claim
+KINDS = {
+    "exact_value": int,
+    "lower_bound": int,
+    "saturated_bound": int,
+    "sequence": list,
+    "decimal_constant": float,
+}
 
 _MAX_DEGREE = 20
 _MZV_WEIGHT = 36
@@ -55,30 +65,36 @@ class ReferenceFormatError(ValueError):
     """A reference file that is not UTF-8 or holds no claim, or a malformed claim line."""
 
 
-@dataclass(frozen=True)
-class ReferenceEntry:
-    claim_id: str
-    location: str
-    kind: str
-    payload: str
+class ReferenceEntry(_Frozen):
+    _fields = ("claim_id", "location", "kind", "payload")
+
+    def __init__(self, claim_id: str, location: str, kind: str, payload: str) -> None:
+        object.__setattr__(self, "claim_id", claim_id)
+        object.__setattr__(self, "location", location)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "payload", payload)
 
 
-@dataclass(frozen=True)
-class ClaimResult:
-    claim_id: str
-    ok: bool
-    expected: str
-    actual: str
+class ClaimResult(_Frozen):
+    _fields = ("claim_id", "ok", "expected", "actual")
+
+    def __init__(self, claim_id: str, ok: bool, expected: str, actual: str) -> None:
+        object.__setattr__(self, "claim_id", claim_id)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
 
     @property
     def status(self) -> str:
         return "pass" if self.ok else "fail"
 
 
-@dataclass
-class VerificationReport:
-    results: list[ClaimResult]
-    notes: list[str] = field(default_factory=list)
+class VerificationReport(_Record):
+    _fields = ("results", "notes")
+
+    def __init__(self, results: list[ClaimResult], notes: list[str] | None = None) -> None:
+        self.results = results
+        self.notes = [] if notes is None else notes
 
     @property
     def passed(self) -> int:
@@ -235,8 +251,11 @@ def _evaluate(entry: ReferenceEntry) -> ClaimResult:
         return ClaimResult(entry.claim_id, False, entry.payload, actual_text)
 
     try:  # a payload that does not parse, or does not fit the claim's value, fails it
+        if not isinstance(actual, KINDS[entry.kind]):
+            value_type = type(actual).__name__
+            raise TypeError(f"{entry.kind} does not take the engine's {value_type} value")
         if entry.kind == "sequence":
-            return _sequence_result(entry.claim_id, _parse_ints(entry.payload), list(actual))
+            return _sequence_result(entry.claim_id, _parse_ints(entry.payload), actual)
 
         if entry.kind == "decimal_constant":
             value_text, tol_text = entry.payload.split(",")

@@ -1,11 +1,19 @@
 import ast
+import importlib
 import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import gfenum
 import gfenum.transforms as transforms
+from gfenum.asymptotics import AsymptoticReport
+from gfenum.cli import OutputTable
 from gfenum.generators import BetaTable, h_series
+from gfenum.mzv import MzvCounts
+from gfenum.series import BiSeries, UniSeries
+from gfenum.verify import ClaimResult, ReferenceEntry, VerificationReport
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -18,6 +26,96 @@ class TestPublicSurface:
         assert {"euler_expand", "peel_uni", "peel_bi"} <= set(gfenum.__all__)
         assert not hasattr(BetaTable, "primitive_count")
         assert list(inspect.signature(h_series).parameters) == ["j", "trunc_order"]
+
+
+class TestLazyPackage:
+    def test_every_public_name_is_its_module_object(self):
+        for module, names in gfenum._EXPORTS.items():
+            defining = importlib.import_module(f"gfenum.{module}")
+            for name in names:
+                assert getattr(gfenum, name) is getattr(defining, name), name
+        assert set(gfenum.__all__) == set(gfenum._MODULE_OF) | {"__version__"}
+
+    def test_dir_lists_the_public_names_and_an_unknown_name_raises(self):
+        assert set(gfenum.__all__) <= set(dir(gfenum))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            gfenum.no_such_name
+
+
+# Each container, built twice from equal fields, with one of its fields
+_FROZEN = [
+    (lambda: UniSeries(2, (1, 2, 3)), "coeffs"),
+    (lambda: BiSeries(2, 1, 2, ((1, 2, 3), (4,))), "max_weight"),
+    (lambda: BetaTable(1, ((1,), (0,))), "rows"),
+    (lambda: MzvCounts(3, {(3, 1): 1}, {(3, 1): 1}), "mzv"),
+    (lambda: AsymptoticReport(1.5, 1.0, 0.0, 0.0, ((1, 0.5),)), "root"),
+    (lambda: ReferenceEntry("seq:P", "x", "sequence", "1"), "payload"),
+    (lambda: ClaimResult("seq:P", True, "1", "1"), "ok"),
+]
+_MUTABLE = [
+    (lambda: VerificationReport([ClaimResult("seq:P", True, "1", "1")]), "results"),
+    (lambda: OutputTable(["m"], [[1]]), "rows"),
+]
+
+
+class TestContainers:
+    @pytest.mark.parametrize("make, field", _FROZEN)
+    def test_a_frozen_container_rejects_assignment(self, make, field):
+        value = make()
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert make() == value
+
+    @pytest.mark.parametrize("make, field", _FROZEN + _MUTABLE)
+    def test_equality_is_field_wise_within_one_class(self, make, field):
+        value = make()
+        assert value == make() and not value != make()
+        assert value != tuple(vars(value).values())
+        other = make()
+        other.__dict__[field] = "changed"
+        assert value != other
+
+    @pytest.mark.parametrize("make, field", _FROZEN)
+    def test_a_frozen_container_hashes_its_fields(self, make, field):
+        value = make()
+        if isinstance(value, MzvCounts):  # dict fields, unhashable
+            with pytest.raises(TypeError):
+                hash(value)
+        else:
+            assert hash(value) == hash(make())
+            assert {value, make()} == {value}
+
+    @pytest.mark.parametrize("make, field", _MUTABLE)
+    def test_a_mutable_container_is_unhashable_and_assignable(self, make, field):
+        value = make()
+        with pytest.raises(TypeError):
+            hash(value)
+        setattr(value, field, [])
+        assert getattr(value, field) == []
+
+    def test_defaults_and_the_cached_entries(self):
+        assert VerificationReport([]).notes == []
+        assert (OutputTable(["m"], []).notes, OutputTable(["m"], []).code) == ([], 0)
+        assert VerificationReport([]).notes is not VerificationReport([]).notes
+        table = BetaTable(1, ((1,), (0,)))
+        assert table.entries is table.entries == {(0, 0): 1, (1, 0): 0, (1, 2): 1}
+        assert table == BetaTable(1, ((1,), (0,)))
+
+    def test_a_series_checks_its_shape_at_construction(self):
+        for make in (
+            lambda: UniSeries(-1, ()),
+            lambda: UniSeries(2, (1, 2)),
+            lambda: BiSeries(0, 1, 2, ((1, 2, 3), (4,))),
+            lambda: BiSeries(2, 1, -1, ()),
+            lambda: BiSeries(2, 1, 2, ((1, 2, 3),)),
+            lambda: BiSeries(2, 1, 2, ((1, 2), (4,))),
+        ):
+            with pytest.raises(ValueError):
+                make()
 
 
 class TestReadme:

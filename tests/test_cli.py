@@ -1,8 +1,13 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gfenum
 import gfenum.cli as cli
+from gfenum import mzv
 from gfenum.transforms import NonIntegerExponent
 
 
@@ -234,7 +239,7 @@ class TestExitCodes:
         def boom(_):
             raise NonIntegerExponent("fabricated inconsistency")
 
-        monkeypatch.setattr(cli, "mzv_counts", boom)
+        monkeypatch.setattr(mzv, "mzv_counts", boom)  # the handler imports it when run
         code, _, err = run_cli(capsys, "mzv")
         assert code == 3
         assert "internal consistency error" in err
@@ -276,3 +281,40 @@ class TestHelp:
         assert code == 0 and out.startswith(f"usage: gfenum {command} ")
         listed = [line.split()[0] for line in out.splitlines() if line.startswith("  -")]
         assert listed == ["-h,", "--format", "--output"] + options
+
+
+# A child interpreter with no site packages, writing no bytecode, runs one
+# subcommand, then prints the gfenum modules it loaded and whether
+# dataclasses was loaded.
+_IMPORT_PROBE = """
+import io, sys
+sys.path.insert(0, sys.argv[1])
+sys.stdout = sys.stderr = io.StringIO()
+from gfenum.cli import main
+main(sys.argv[2:])
+loaded = [name for name in sys.modules if name.partition(".")[0] == "gfenum"]
+print(" ".join(sorted(loaded)), "dataclasses" in sys.modules, file=sys.__stdout__)
+"""
+_BASE = ["gfenum", "gfenum.cli", "gfenum.series"]
+
+
+class TestStartup:
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            (["--help"], []),
+            (["beta"], ["generators"]),
+            (["primitives"], ["generators"]),
+            (["knots"], ["generators", "transforms"]),
+            (["framed", "--format", "json"], ["generators", "transforms"]),
+            (["mzv"], ["generators", "mzv", "transforms"]),
+            (["asymptote"], ["asymptotics", "generators"]),
+            (["verify"], ["asymptotics", "generators", "mzv", "transforms", "verify"]),
+        ],
+    )
+    def test_a_subcommand_imports_only_the_modules_it_runs(self, argv, extra):
+        src = str(Path(gfenum.__file__).resolve().parents[1])
+        child = [sys.executable, "-I", "-S", "-B", "-c", _IMPORT_PROBE, src, *argv]
+        out = subprocess.run(child, capture_output=True, text=True, check=True).stdout
+        expected = sorted(_BASE + [f"gfenum.{name}" for name in extra])
+        assert out.split() == [*expected, "False"]

@@ -233,6 +233,16 @@ class TestMalformedPayloads:
             "table1:m12:u06\tx\texact_value\t+15",
             "table1:m12:u06\tx\texact_value\t\u0661\u0665",
             "table1:m12:u06\tx\tlower_bound\t1_0",
+            # a kind that does not take the engine's value type: each pairing
+            "table1:m05:u02\tx\tdecimal_constant\t1,1",
+            "seq:P\tx\tdecimal_constant\t1,1",
+            "const:r\tx\texact_value\t1",
+            "const:r\tx\tlower_bound\t1",
+            "const:C\tx\tsaturated_bound\t1",
+            "seq:V\tx\texact_value\t0",
+            "seq:F\tx\tsaturated_bound\t1",
+            "const:C\tx\tsequence\t1",
+            "identity:floor-col0\tx\tsequence\t1",
         ],
     )
     def test_an_unparsable_or_mismatched_payload_fails_only_its_claim(self, tmp_path, line):
