@@ -1,5 +1,6 @@
 import math
 import operator
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfenum.asymptotics import (
+    _gap_coeffs,
     _scaled_floats,
     asymptotic_report,
     growth_constant,
@@ -15,7 +17,7 @@ from gfenum.asymptotics import (
     max_ratio_degree,
     ratio_table,
 )
-from gfenum.generators import _P_FACTORS, _P_NUMERATOR, p_closed, primitive_counts
+from gfenum.generators import _P_FACTORS, _P_NUMERATOR, _one_minus, p_closed, primitive_counts
 
 from literals import GROWTH_CONSTANT, GROWTH_ROOT
 from oracles import scaled_floats, uni_from_terms, uni_inverse, uni_mul
@@ -103,6 +105,27 @@ class TestGrowthConstant:
         ]
         assert wrong == []
 
+    def test_gap_stream_matches_the_closed_expansion(self):
+        # the window hard-codes the last factor's lags; a reordered _P_FACTORS must fail here
+        assert _P_FACTORS[-1] == _one_minus(1, 4)
+        for n in range(9):  # the window's start-up; p_closed starts at max_m = 1
+            assert tuple(_gap_coeffs(n)) == p_closed(8).coeffs[: n + 1]
+        for n in (40, 2000):
+            assert tuple(_gap_coeffs(n)) == p_closed(n).coeffs
+
+    def test_series_route_holds_no_expansion_and_fills_no_cache(self):
+        # the whole 20,000-term expansion is 13.2 MiB of big integers
+        growth_root()
+        p_closed.cache_clear()
+        tracemalloc.start()
+        try:
+            growth_constant_from_series(20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+        assert p_closed.cache_info().currsize == 0
+
     @pytest.mark.parametrize(
         "terms, bits",
         [
@@ -145,7 +168,10 @@ class TestScaledFloats:
     @settings(deadline=None)
     def test_matches_the_first_form_bit_for_bit(self, coeffs, scale):
         coeffs = tuple(coeffs)
-        assert _rescaled(_scaled_floats, coeffs, scale) == _rescaled(scaled_floats, coeffs, scale)
+        expected = _rescaled(scaled_floats, coeffs, scale)
+        assert _rescaled(_scaled_floats, coeffs, scale) == expected
+        # the series route passes a one-shot generator, not a tuple
+        assert _rescaled(_scaled_floats, iter(coeffs), scale) == expected
 
 
 class TestConvergence:
