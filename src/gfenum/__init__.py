@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 # Module -> the public names it defines
 _EXPORTS = {
-    "series": ("BiSeries", "IndexOutOfRange", "UniSeries", "WeightMismatch"),
+    "series": ("BiSeries", "IndexOutOfRange", "UniSeries"),
     "generators": (
         "BetaTable", "UnsupportedColumn", "UnsupportedDiagonal", "beta_table", "build_b",
         "floor_formula_col0", "floor_formula_diag1", "floor_formula_diag2", "g_series",

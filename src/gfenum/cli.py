@@ -199,11 +199,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _internal_errors() -> tuple[type[Exception], ...]:
     from .mzv import CrossCheckError
-    from .series import IndexOutOfRange, WeightMismatch
+    from .series import IndexOutOfRange
     from .transforms import NegativeExponent, NonIntegerExponent, NonUnitConstant
 
     return (CrossCheckError, IndexOutOfRange, NegativeExponent, NonIntegerExponent,
-            NonUnitConstant, WeightMismatch)
+            NonUnitConstant)
 
 
 def _usage_errors() -> tuple[type[Exception], ...]:

@@ -9,11 +9,12 @@ degree m <= W exactly.
 
 Conventions baked in here: beta vanishes for odd u (mirror symmetry),
 beta(2j, 2j) = 1, beta(0, 0) = 1, and the single u > m entry beta(1, 2) = 1
-is kept as an explicit special case since the (j, k) grid cannot reach it.
+is stored as data in row 1 of the beta table, since the (j, k) grid cannot
+reach it.
 
 The primitive count P_m = sum_{u >= 2} beta(m, u) has two independent
-routes: assembling it from the two-variable generator via the x -> y**2
-substitution, or expanding a closed univariate rational form.  They must
+routes: summing the rows of the beta table read from the two-variable
+generator, or expanding a closed univariate rational form.  They must
 agree coefficient for coefficient; `verify` enforces that.
 """
 
@@ -183,9 +184,10 @@ def build_b(max_weight: int) -> BiSeries:
 
 
 class BetaTable(_Frozen):
-    """beta(m, u) for 0 <= m <= max_m, even u <= m, plus the (1, 2) entry that ``get`` serves.
+    """beta(m, u) for 0 <= m <= max_m and even u <= m, and beta(1, 2) = 1 once max_m >= 1.
 
-    ``rows[m][u // 2]`` is beta(m, u), so a cut to a smaller degree is a slice sharing the rows.
+    ``rows[m][u // 2]`` is beta(m, u): row 1 is (beta(1, 0), beta(1, 2)), each other row m
+    holds m // 2 + 1 values, so a cut to a smaller degree is a slice sharing the rows.
     """
 
     _fields = ("max_m", "rows")
@@ -196,28 +198,29 @@ class BetaTable(_Frozen):
         object.__setattr__(self, "max_m", max_m)
         object.__setattr__(self, "rows", rows)
 
-    @cached_property
-    def entries(self) -> dict[tuple[int, int], int]:
-        """Every value keyed (m, u), (1, 2) included: built on first read, not by a cut."""
-        entries = {(m, 2 * i): n for m, row in enumerate(self.rows) for i, n in enumerate(row)}
-        return entries | {(1, 2): 1} if self.max_m else entries
-
-    def get(self, m: int, u: int) -> int:
+    def _row(self, m: int) -> tuple[int, ...]:
         if not 0 <= m <= self.max_m:
             raise IndexOutOfRange(f"degree {m} is outside the table range [0, {self.max_m}]")
+        return self.rows[m]
+
+    @cached_property
+    def entries(self) -> dict[tuple[int, int], int]:
+        """Every value keyed (m, u): built on first read, not by a cut."""
+        return {(m, 2 * i): n for m, row in enumerate(self.rows) for i, n in enumerate(row)}
+
+    def get(self, m: int, u: int) -> int:
+        row = self._row(m)
         if u < 0:
             raise IndexOutOfRange("univalent count must be >= 0")
-        if (m, u) == (1, 2):
-            return 1
+        if u // 2 < len(row) and not u % 2:
+            return row[u // 2]
         if u > m:
             raise IndexOutOfRange(f"beta({m}, {u}) with u > m is undefined")
-        return 0 if u % 2 else self.rows[m][u // 2]
+        return 0  # odd u <= m
 
     def tally_terms(self, m: int) -> list[int]:
         """The u >= 2 contributions to the primitive count at degree m."""
-        if m == 1:
-            return [self.get(1, 2)]
-        return [self.get(m, u) for u in range(2, m + 1, 2)]
+        return list(self._row(m)[1:])
 
     def truncate(self, max_m: int) -> BetaTable:
         """The table through a smaller degree: a slice of the rows, sharing them."""
@@ -235,7 +238,10 @@ def beta_table(max_m: int) -> BetaTable:
     """
     coeffs = build_b(max_m).coeffs  # coeffs[j][m - 2j] = beta(m, 2j) - 1
     rows = (map(getitem, coeffs, range(m, -1, -2)) for m in range(max_m + 1))
-    return BetaTable(max_m, tuple(tuple(map(add, row, repeat(1))) for row in rows))
+    rows = [tuple(map(add, row, repeat(1))) for row in rows]
+    if max_m:
+        rows[1] += (1,)  # beta(1, 2) = 1
+    return BetaTable(max_m, tuple(rows))
 
 
 # The diagonal generators as sums of x**a / prod_t (1 - x**t), one
@@ -298,17 +304,12 @@ def floor_formula_col0(m: int) -> int:
 
 @_grown("max_m", 1)
 def p_from_b(max_m: int) -> UniSeries:
-    """sum_m (P_m - 1) y**m assembled from the two-variable generator.
+    """sum_m (P_m - 1) y**m from the beta table: P_m = sum_{u >= 2} beta(m, u), its row sums.
 
-    The x -> y**2 substitution collects every even-u column of a fixed
-    degree; subtracting the u = 0 column and adding y**4/((1-y)(1-y**2))
-    repairs the "-1 per column" offset so the coefficient of y**m is
-    exactly P_m - 1.
+    There is no P_0: the y**0 coefficient is 0, as in the closed form.
     """
-    b = build_b(max_m)
-    correction = _expand_uni({4: 1}, [_one_minus(1), _one_minus(2)], max_m)
-    rows = zip(b.substitute_x().coeffs, b.coeffs[0], correction.coeffs)
-    return UniSeries(max_m, tuple(s - u0 + c for s, u0, c in rows))
+    rows = beta_table(max_m).rows
+    return UniSeries(max_m, (0, *(sum(row[1:]) - 1 for row in rows[1:])))
 
 
 def primitive_counts(max_m: int) -> list[int]:

@@ -8,11 +8,10 @@ too-short truncation fails loudly rather than producing silent zeros.
 
 Coefficients are exact values, never floats (every library path makes
 Python ints), and are stored as given.  Series values are immutable after
-construction.  The containers index, truncate and substitute; they
-have no arithmetic: the library expands every series with the
-division kernel in `generators` and the Euler-transform pair in
-`transforms`, and the dense algebra that checks those kernels is a test
-oracle.
+construction.  The containers index and truncate; they have no
+arithmetic: the library expands every series with the division kernel
+in `generators` and the Euler-transform pair in `transforms`, and the
+dense algebra that checks those kernels is a test oracle.
 """
 
 from __future__ import annotations
@@ -20,10 +19,6 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 Coeff = int
-
-
-class WeightMismatch(ValueError):
-    """A bivariate series carries variable weights the operation does not support."""
 
 
 class IndexOutOfRange(IndexError):
@@ -146,21 +141,6 @@ class BiSeries(_Frozen):
             for j, row in enumerate(self.coeffs[: max_weight // self.weight_x + 1])
         ]
         return BiSeries(self.weight_x, self.weight_y, max_weight, tuple(rows))
-
-    def substitute_x(self) -> UniSeries:
-        """Evaluate at x = y**2, valid for weights (2, 1) only.
-
-        The substitution maps x**j * y**k to y**(2j + k), which is the total
-        weight, so the result is exact through the same bound.
-        """
-        if (self.weight_x, self.weight_y) != (2, 1):
-            raise WeightMismatch(
-                "x = y**2 substitution preserves truncation only for weights (2, 1)"
-            )
-        out: list[Coeff] = [0] * (self.max_weight + 1)
-        for j, k, c in self.nonzero_terms():
-            out[2 * j + k] += c
-        return UniSeries(self.max_weight, tuple(out))
 
 
 def _zero_rows(weight_x: int, weight_y: int, max_weight: int) -> list[list[Coeff]]:

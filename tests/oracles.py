@@ -5,8 +5,9 @@ The dense series algebra lives here, not in the library: constructors
 zeros), the x = 0 row (`bi_x0_row`), sums and differences, schoolbook
 products (`uni_mul`, `bi_mul`) and term-by-term inverses (`uni_inverse`,
 `bi_inverse`) over the `UniSeries` and `BiSeries` containers, and the
-forward Euler product built from them (`product_oracle`).  A sum or
-product is valid exactly through the minimum truncation of its operands.
+forward Euler product built from them (`product_oracle`), and the
+x = y**2 substitution (`substitute_x`).  A sum or product is valid
+exactly through the minimum truncation of its operands.
 The generator assemblies below use only these, so they are an
 independent reference for the division kernel; the multiset count uses
 no series at all.  `scaled_floats` keeps the series route's float
@@ -16,7 +17,11 @@ rescaling in the form it was first written.
 import math
 from fractions import Fraction
 
-from gfenum.series import BiSeries, UniSeries, WeightMismatch, _zero_rows
+from gfenum.series import BiSeries, UniSeries, _zero_rows
+
+
+class WeightMismatch(ValueError):
+    """A bivariate series carries variable weights the operation does not support."""
 
 
 def uni_from_coeffs(coeffs, trunc_order=None):
@@ -97,6 +102,20 @@ def _check_weights(a, b):
             f"weights {(a.weight_x, a.weight_y)} vs "
             f"{(b.weight_x, b.weight_y)}"
         )
+
+
+def substitute_x(a):
+    """Evaluate at x = y**2, valid for weights (2, 1) only.
+
+    The substitution maps x**j * y**k to y**(2j + k), which is the total
+    weight, so the result is exact through the same bound.
+    """
+    if (a.weight_x, a.weight_y) != (2, 1):
+        raise WeightMismatch("x = y**2 substitution preserves truncation only for weights (2, 1)")
+    out = [0] * (a.max_weight + 1)
+    for j, k, c in a.nonzero_terms():
+        out[2 * j + k] += c
+    return UniSeries(a.max_weight, tuple(out))
 
 
 def bi_neg(a):

@@ -25,6 +25,8 @@ class TestPublicSurface:
         assert not any(hasattr(transforms, name) for name in removed)
         assert {"euler_expand", "peel_uni", "peel_bi"} <= set(gfenum.__all__)
         assert not hasattr(BetaTable, "primitive_count")
+        assert not hasattr(BiSeries, "substitute_x")
+        assert "WeightMismatch" not in gfenum.__all__
         assert list(inspect.signature(h_series).parameters) == ["j", "trunc_order"]
 
 
@@ -46,7 +48,7 @@ class TestLazyPackage:
 _FROZEN = [
     (lambda: UniSeries(2, (1, 2, 3)), "coeffs"),
     (lambda: BiSeries(2, 1, 2, ((1, 2, 3), (4,))), "max_weight"),
-    (lambda: BetaTable(1, ((1,), (0,))), "rows"),
+    (lambda: BetaTable(1, ((1,), (0, 1))), "rows"),
     (lambda: MzvCounts(3, {(3, 1): 1}, {(3, 1): 1}), "mzv"),
     (lambda: AsymptoticReport(1.5, 1.0, 0.0, 0.0, ((1, 0.5),)), "root"),
     (lambda: ReferenceEntry("seq:P", "x", "sequence", "1"), "payload"),
@@ -101,9 +103,9 @@ class TestContainers:
         assert VerificationReport([]).notes == []
         assert (OutputTable(["m"], []).notes, OutputTable(["m"], []).code) == ([], 0)
         assert VerificationReport([]).notes is not VerificationReport([]).notes
-        table = BetaTable(1, ((1,), (0,)))
+        table = BetaTable(1, ((1,), (0, 1)))
         assert table.entries is table.entries == {(0, 0): 1, (1, 0): 0, (1, 2): 1}
-        assert table == BetaTable(1, ((1,), (0,)))
+        assert table == BetaTable(1, ((1,), (0, 1)))
 
     def test_a_series_checks_its_shape_at_construction(self):
         for make in (

@@ -38,7 +38,7 @@ def _zeta_side(call):
 GROWN = [
     pytest.param(build_b, 0, (generators, "_expand_rational"), _arg(4), id="build_b"),
     pytest.param(p_closed, 1, (generators, "_expand_uni"), _arg(2), id="p_closed"),
-    pytest.param(p_from_b, 1, (generators, "build_b"), _arg(0), id="p_from_b"),
+    pytest.param(p_from_b, 1, (generators, "beta_table"), _arg(0), id="p_from_b"),
     pytest.param(beta_table, 0, (generators, "build_b"), _arg(0), id="beta_table"),
     pytest.param(mzv_counts, 0, (mzv, "_peel_rational"), _zeta_side, id="mzv_counts"),
 ]

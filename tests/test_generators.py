@@ -27,6 +27,7 @@ from oracles import (
     bi_inverse,
     bi_mul,
     build_b_dense,
+    substitute_x,
     uni_from_terms,
     uni_inverse,
     uni_mul,
@@ -52,7 +53,7 @@ class TestBuildB:
     def test_substitution_collects_table_row(self):
         # the y**5 coefficient of the substituted series sums the degree-5
         # row of the grid: (2-1) + (2-1) + (1-1)
-        assert build_b(8).substitute_x()[5] == 2
+        assert substitute_x(build_b(8))[5] == 2
 
     @pytest.mark.parametrize("weight", [0, 1, 4, 7, 23, 50])
     def test_matches_the_dense_assembly(self, weight):
@@ -93,12 +94,28 @@ class TestBetaTable:
             for u in range(0, m + 1, 2):
                 assert table.get(m, u) >= 1
 
+    @pytest.mark.parametrize("max_m", [0, 1, 2, 12])
+    def test_rows_hold_the_even_entries_and_beta_1_2(self, max_m):
+        # rows[m][u // 2] is beta(m, u); row 1 also stores beta(1, 2), the one entry with u > m
+        table = beta_table.__wrapped__(max_m)
+        widths = [2 if m == 1 else m // 2 + 1 for m in range(max_m + 1)]
+        assert [len(row) for row in table.rows] == widths
+        assert table.rows[1:2] == ((1, 1),)[:max_m]  # (beta(1, 0), beta(1, 2)) once max_m >= 1
+        evens = {(m, u): table.get(m, u) for m in range(max_m + 1) for u in range(0, m + 1, 2)}
+        assert table.entries == (evens | {(1, 2): 1} if max_m else evens)
+
     def test_out_of_range_lookups_raise(self):
         table = beta_table(10)
         with pytest.raises(IndexOutOfRange):
             table.get(11, 0)
         with pytest.raises(IndexOutOfRange):
             table.get(5, 6)
+        for m, u in ((1, 3), (2, 4), (1, -2)):
+            with pytest.raises(IndexOutOfRange):
+                table.get(m, u)
+        for m in (-2, -1, 11):
+            with pytest.raises(IndexOutOfRange):
+                table.tally_terms(m)
 
     def test_column_shift_identity(self):
         # beta(m, 0) == beta(m + 1, 2)
@@ -176,8 +193,11 @@ class TestFloorFormulas:
 
 
 class TestPrimitiveSeries:
-    def test_both_routes_agree(self):
-        assert p_from_b(40) == p_closed(40)
+    @pytest.mark.parametrize("max_m", [1, 2, 3, 4, 40, 400])
+    def test_both_routes_agree(self, max_m):
+        for cache in (p_from_b, beta_table, build_b, p_closed):
+            cache.cache_clear()
+        assert p_from_b(max_m) == p_closed(max_m)
 
     def test_counts_from_the_generator_route(self):
         gap = p_from_b(20)

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfenum.series import BiSeries, UniSeries, WeightMismatch
+from gfenum.series import BiSeries, UniSeries
 
 from oracles import (
+    WeightMismatch,
     ZeroConstantTerm,
     bi_add,
     bi_from_terms,
     bi_inverse,
     bi_mul,
     bi_one,
+    substitute_x,
     uni_add,
     uni_from_coeffs,
     uni_from_terms,
@@ -185,5 +187,5 @@ class TestRingProperties:
     @settings(deadline=None)
     def test_substitution_is_a_ring_map(self, pair):
         a, b = pair
-        assert bi_mul(a, b).substitute_x() == uni_mul(a.substitute_x(), b.substitute_x())
-        assert bi_add(a, b).substitute_x() == uni_add(a.substitute_x(), b.substitute_x())
+        assert substitute_x(bi_mul(a, b)) == uni_mul(substitute_x(a), substitute_x(b))
+        assert substitute_x(bi_add(a, b)) == uni_add(substitute_x(a), substitute_x(b))
