@@ -32,10 +32,7 @@ class OutputTable(_Record):
 
     def __init__(self, columns: list[str], rows: list[list[Cell]],
                  notes: list[str] | None = None, code: int = 0) -> None:
-        self.columns = columns
-        self.rows = rows
-        self.notes = [] if notes is None else notes
-        self.code = code
+        super().__init__(columns, rows, [] if notes is None else notes, code)
 
     def to_tsv(self) -> str:
         lines = ["\t".join(self.columns)]
@@ -57,14 +54,10 @@ class OutputTable(_Record):
 def _beta_handler(args) -> OutputTable:
     from .generators import beta_table
 
-    max_m = args.max_degree
-    table = beta_table(max_m)
-    max_u = 0 if max_m == 0 else max(2, max_m - (max_m % 2))
-    columns = ["m"] + [f"u={u}" for u in range(0, max_u + 1, 2)]
-    rows: list[list[Cell]] = [
-        [m] + [table.entries.get((m, u), "") for u in range(0, max_u + 1, 2)]
-        for m in range(max_m + 1)
-    ]
+    table = beta_table(args.max_degree).rows  # table[m][u // 2] is beta(m, u)
+    width = max(map(len, table))
+    columns = ["m"] + [f"u={2 * i}" for i in range(width)]
+    rows: list[list[Cell]] = [[m, *row] + [""] * (width - len(row)) for m, row in enumerate(table)]
     return OutputTable(columns, rows)
 
 
@@ -86,7 +79,7 @@ def _euler_handler(min_degree: int, column: str):
         max_m = args.max_degree
         exponents = {m + 1: p for m, p in enumerate(primitive_counts(max_m))}
         series = euler_expand(exponents, min_degree, max_m)
-        rows: list[list[Cell]] = [[m, series[m]] for m in range(1, max_m + 1)]
+        rows: list[list[Cell]] = [[m, c] for m, c in enumerate(series.coeffs[1:], 1)]
         return OutputTable(["m", column], rows)
 
     return handler

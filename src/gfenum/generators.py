@@ -195,6 +195,9 @@ class BetaTable(_Frozen):
     def __init__(self, max_m: int, rows: tuple[tuple[int, ...], ...]) -> None:
         if max_m < 0:
             raise ValueError("degree bound must be >= 0")
+        if len(rows) != max_m + 1 or max_m >= 1 and len(rows[1]) != 2:
+            raise ValueError("need max_m + 1 rows, and row 1 as (beta(1, 0), beta(1, 2))")
+        # direct sets: every cut builds one, and the base's constructor is slower
         object.__setattr__(self, "max_m", max_m)
         object.__setattr__(self, "rows", rows)
 
@@ -314,5 +317,4 @@ def p_from_b(max_m: int) -> UniSeries:
 
 def primitive_counts(max_m: int) -> list[int]:
     """P_1 .. P_max_m, from the closed univariate form."""
-    gap = p_closed(max_m)
-    return [gap[m] + 1 for m in range(1, max_m + 1)]
+    return [c + 1 for c in p_closed(max_m).coeffs[1:]]

@@ -78,6 +78,7 @@ class MzvCounts(_Frozen):
                  euler: Mapping[tuple[int, int], int]) -> None:
         if max_weight < 0:
             raise ValueError("weight bound must be >= 0")
+        # direct sets: every cut builds one, and the base's constructor is slower
         object.__setattr__(self, "max_weight", max_weight)
         object.__setattr__(self, "mzv", mzv)
         object.__setattr__(self, "euler", euler)

@@ -26,9 +26,18 @@ class IndexOutOfRange(IndexError):
 
 
 class _Record:
-    """A container with field-wise ``==`` and ``repr`` over its class's ``_fields``."""
+    """A container with field-wise ``==`` and ``repr`` over its class's ``_fields``.
+
+    The constructor takes one value per field and sets them in ``_fields`` order.
+    """
 
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values: object) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self._fields)} fields, "
+                            f"got {len(values)}")
+        self.__dict__.update(zip(self._fields, values))
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -44,7 +53,7 @@ class _Record:
 
 
 class _Frozen(_Record):
-    """A hashable `_Record` whose ``__init__`` sets each field once, by ``object.__setattr__``."""
+    """A hashable `_Record` whose fields are set once, at construction."""
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -66,6 +75,7 @@ class UniSeries(_Frozen):
             raise ValueError("truncation order must be >= 0")
         if len(coeffs) != trunc_order + 1:
             raise ValueError("need exactly trunc_order + 1 coefficients")
+        # direct sets: every cut builds one, and the base's constructor is slower
         object.__setattr__(self, "trunc_order", trunc_order)
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
@@ -112,6 +122,7 @@ class BiSeries(_Frozen):
             width = _row_length(weight_x, weight_y, max_weight, j)
             if len(row) != width:
                 raise ValueError(f"row {j} must hold exactly {width} coefficients")
+        # direct sets: every cut builds one, and the base's constructor is slower
         object.__setattr__(self, "weight_x", weight_x)
         object.__setattr__(self, "weight_y", weight_y)
         object.__setattr__(self, "max_weight", max_weight)

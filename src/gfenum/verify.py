@@ -68,21 +68,9 @@ class ReferenceFormatError(ValueError):
 class ReferenceEntry(_Frozen):
     _fields = ("claim_id", "location", "kind", "payload")
 
-    def __init__(self, claim_id: str, location: str, kind: str, payload: str) -> None:
-        object.__setattr__(self, "claim_id", claim_id)
-        object.__setattr__(self, "location", location)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "payload", payload)
-
 
 class ClaimResult(_Frozen):
     _fields = ("claim_id", "ok", "expected", "actual")
-
-    def __init__(self, claim_id: str, ok: bool, expected: str, actual: str) -> None:
-        object.__setattr__(self, "claim_id", claim_id)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "actual", actual)
 
     @property
     def status(self) -> str:
@@ -93,8 +81,7 @@ class VerificationReport(_Record):
     _fields = ("results", "notes")
 
     def __init__(self, results: list[ClaimResult], notes: list[str] | None = None) -> None:
-        self.results = results
-        self.notes = [] if notes is None else notes
+        super().__init__(results, [] if notes is None else notes)
 
     @property
     def passed(self) -> int:
@@ -223,18 +210,25 @@ def _parse_int(text: str) -> int:
     return int(text)
 
 
-def _parse_ints(payload: str) -> list[int]:
-    return [_parse_int(x) for x in payload.split(",")]
+def _compare(kind: str, payload: str, actual: int | list[int] | float) -> tuple[bool, str]:
+    """Whether the engine's value meets the claim, and the claim's value as reported.
 
-
-def _sequence_result(claim_id: str, expected: list[int], actual: list[int]) -> ClaimResult:
-    ok = expected == actual
-    return ClaimResult(
-        claim_id,
-        ok,
-        ",".join(str(v) for v in expected),
-        ",".join(str(v) for v in actual),
-    )
+    A payload that does not parse, or a kind that does not take the value's
+    type, raises TypeError or ValueError.
+    """
+    if not isinstance(actual, KINDS[kind]):
+        raise TypeError(f"{kind} does not take the engine's {type(actual).__name__} value")
+    if kind == "sequence":
+        expected = [_parse_int(x) for x in payload.split(",")]
+        return expected == actual, ",".join(map(str, expected))
+    if kind == "decimal_constant":
+        value_text, tol_text = payload.split(",")
+        value, tol = float(value_text), float(tol_text)
+        if not (isfinite(value) and isfinite(tol) and tol >= 0):
+            raise ValueError(f"need a finite value and tolerance >= 0, got {payload!r}")
+        return abs(actual - value) <= tol, value_text
+    bound = _parse_int(payload)
+    return (actual >= bound if kind == "lower_bound" else actual == bound), str(bound)
 
 
 def _evaluate(entry: ReferenceEntry) -> ClaimResult:
@@ -251,28 +245,11 @@ def _evaluate(entry: ReferenceEntry) -> ClaimResult:
         return ClaimResult(entry.claim_id, False, entry.payload, actual_text)
 
     try:  # a payload that does not parse, or does not fit the claim's value, fails it
-        if not isinstance(actual, KINDS[entry.kind]):
-            value_type = type(actual).__name__
-            raise TypeError(f"{entry.kind} does not take the engine's {value_type} value")
-        if entry.kind == "sequence":
-            return _sequence_result(entry.claim_id, _parse_ints(entry.payload), actual)
-
-        if entry.kind == "decimal_constant":
-            value_text, tol_text = entry.payload.split(",")
-            expected, tol = float(value_text), float(tol_text)
-            if not (isfinite(expected) and isfinite(tol) and tol >= 0):
-                raise ValueError(f"need a finite value and tolerance >= 0, got {entry.payload!r}")
-            ok = abs(actual - expected) <= tol
-            return ClaimResult(entry.claim_id, ok, value_text, repr(actual))
-
-        expected_int = _parse_int(entry.payload)
-        if entry.kind == "lower_bound":
-            ok = actual >= expected_int
-        else:  # exact_value, saturated_bound
-            ok = actual == expected_int
+        ok, expected = _compare(entry.kind, entry.payload, actual)
     except (TypeError, ValueError) as exc:
         return ClaimResult(entry.claim_id, False, entry.payload, f"malformed claim: {exc}")
-    return ClaimResult(entry.claim_id, ok, str(expected_int), str(actual))
+    actual_text = ",".join(map(str, actual)) if isinstance(actual, list) else str(actual)
+    return ClaimResult(entry.claim_id, ok, expected, actual_text)
 
 
 _PREDICTED_CELLS = ((15, 10), (16, 12), (19, 16))  # grid cells no independent check reaches

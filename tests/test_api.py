@@ -12,7 +12,7 @@ from gfenum.asymptotics import AsymptoticReport
 from gfenum.cli import OutputTable
 from gfenum.generators import BetaTable, h_series
 from gfenum.mzv import MzvCounts
-from gfenum.series import BiSeries, UniSeries
+from gfenum.series import BiSeries, UniSeries, _Frozen, _Record
 from gfenum.verify import ClaimResult, ReferenceEntry, VerificationReport
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -107,6 +107,27 @@ class TestContainers:
         assert table.entries is table.entries == {(0, 0): 1, (1, 0): 0, (1, 2): 1}
         assert table == BetaTable(1, ((1,), (0, 1)))
 
+    def test_every_record_class_is_in_a_container_table(self):
+        for module in gfenum._EXPORTS:
+            importlib.import_module(f"gfenum.{module}")
+        importlib.import_module("gfenum.cli")
+        records, stack = set(), [_Record]
+        while stack:
+            for cls in stack.pop().__subclasses__():
+                stack.append(cls)
+                records.add(cls)
+        tabled = {type(make()) for make, _ in _FROZEN + _MUTABLE}
+        assert records - {_Frozen} == tabled
+
+    @pytest.mark.parametrize("record", [ReferenceEntry, ClaimResult, AsymptoticReport])
+    def test_a_record_takes_exactly_one_value_per_field(self, record):
+        values = range(len(record._fields))
+        assert record(*values) == record(*values)
+        with pytest.raises(TypeError):
+            record(*values, None)
+        with pytest.raises(TypeError):
+            record(*values[1:])
+
     def test_a_series_checks_its_shape_at_construction(self):
         for make in (
             lambda: UniSeries(-1, ()),
@@ -115,6 +136,8 @@ class TestContainers:
             lambda: BiSeries(2, 1, -1, ()),
             lambda: BiSeries(2, 1, 2, ((1, 2, 3),)),
             lambda: BiSeries(2, 1, 2, ((1, 2), (4,))),
+            lambda: BetaTable(1, ((1,), (0,))),
+            lambda: BetaTable(2, ((1,),)),
         ):
             with pytest.raises(ValueError):
                 make()

@@ -36,6 +36,18 @@ class TestTables:
         row = next(r for r in rows if r[0] == "14")
         assert row[column] == "26"
 
+    @pytest.mark.parametrize(
+        "size, text",
+        [
+            ("0", "m\tu=0\n0\t1\n"),
+            ("1", "m\tu=0\tu=2\n0\t1\t\n1\t1\t1\n"),
+            ("3", "m\tu=0\tu=2\n0\t1\t\n1\t1\t1\n2\t1\t1\n3\t1\t1\n"),
+        ],
+    )
+    def test_beta_pads_short_rows_to_the_longest(self, capsys, size, text):
+        code, out, _ = run_cli(capsys, "beta", "--max-degree", size)
+        assert (code, out) == (0, text)
+
     def test_beta_rows_sum_to_primitives(self, capsys):
         _, beta_out, _ = run_cli(capsys, "beta", "--max-degree", "20")
         _, prim_out, _ = run_cli(capsys, "primitives", "--max-degree", "20")

@@ -208,6 +208,33 @@ class TestClaimKinds:
         assert failing_ids(report) == ["table1:m12:u06"]
         assert (report.results[0].expected, report.results[0].actual) == ("16", "15")
 
+    @pytest.mark.parametrize(
+        "line, ok, expected, actual",
+        [
+            ("table1:m12:u06\texact_value\t15", True, "15", "15"),
+            ("table1:m12:u06\texact_value\t16", False, "16", "15"),
+            ("table1:m12:u00\tsaturated_bound\t11", True, "11", "11"),
+            ("table1:m12:u00\tsaturated_bound\t12", False, "12", "11"),
+            ("table1:m12:u06\tlower_bound\t14", True, "14", "15"),
+            ("table1:m12:u06\tlower_bound\t16", False, "16", "15"),
+            ("tally:m16\tsequence\t17,27,38,46,42,28,8,1", True,
+             "17,27,38,46,42,28,8,1", "17,27,38,46,42,28,8,1"),
+            ("tally:m16\tsequence\t17,27,38,46,42,28,8,2", False,
+             "17,27,38,46,42,28,8,2", "17,27,38,46,42,28,8,1"),
+            ("const:r\tdecimal_constant\t1.38027756909761,1e-12", True,
+             "1.38027756909761", "1.3802775690976141"),
+            ("const:r\tdecimal_constant\t1.38,1e-12", False, "1.38", "1.3802775690976141"),
+        ],
+    )
+    def test_each_kind_reports_its_expected_and_actual_text(
+        self, tmp_path, line, ok, expected, actual
+    ):
+        claim_id, rest = line.split("\t", 1)
+        data = tmp_path / "kind.tsv"
+        data.write_text(f"{claim_id}\tx\t{rest}\n", encoding="utf-8")
+        (result,) = run_all(data).results
+        assert (result.ok, result.expected, result.actual) == (ok, expected, actual)
+
 
 class TestMalformedPayloads:
     @pytest.mark.parametrize(
