@@ -23,6 +23,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache, wraps
 from itertools import accumulate, repeat
 from operator import add, getitem, mul, sub
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .series import BiSeries, IndexOutOfRange, UniSeries, _Frozen, _zero_rows
@@ -207,9 +208,10 @@ class BetaTable(_Frozen):
         return self.rows[m]
 
     @cached_property
-    def entries(self) -> dict[tuple[int, int], int]:
-        """Every value keyed (m, u): built on first read, not by a cut."""
-        return {(m, 2 * i): n for m, row in enumerate(self.rows) for i, n in enumerate(row)}
+    def entries(self) -> Mapping[tuple[int, int], int]:
+        """Every value keyed (m, u), read-only: built on first read, not by a cut."""
+        entries = {(m, 2 * i): n for m, row in enumerate(self.rows) for i, n in enumerate(row)}
+        return MappingProxyType(entries)
 
     def get(self, m: int, u: int) -> int:
         row = self._row(m)

@@ -14,8 +14,8 @@ output.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Iterator, KeysView, Mapping, ValuesView
 from itertools import islice
-from typing import Mapping
 
 from .generators import _expand_rational, _grown, g_series
 from .series import BiSeries, IndexOutOfRange, _Frozen
@@ -59,12 +59,84 @@ def build_eul_rhs(max_weight: int) -> BiSeries:
     return BiSeries(2, 3, max_weight, rows)
 
 
+class _WeightPrefix(Mapping):
+    """A read-only view of the first ``size`` entries of a (w, d)-keyed dict in weight-major order.
+
+    Those are the entries with w <= ``bound``, so a lookup is one probe of the backing dict
+    and a weight test, and a key past the prefix, off the grid or not a pair reads as absent.
+    Iteration, ``keys``, ``values`` and ``items`` walk the backing dict at C speed.
+    """
+
+    __slots__ = ("_table", "_bound", "_size")
+
+    def __init__(self, table: dict[tuple[int, int], int], bound: int, size: int) -> None:
+        self._table, self._bound, self._size = table, bound, size
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        value = self._table[key]  # every key of the backing dict is a (w, d) pair
+        if key[0] > self._bound:
+            raise KeyError(key)
+        return value
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return islice(self._table, self._size)
+
+    def _walk(self, view) -> Iterator:
+        """The prefix of one of the backing dict's views, such as dict.items."""
+        return islice(view(self._table), self._size)
+
+    def keys(self) -> KeysView:
+        return _PrefixKeys(self)
+
+    def values(self) -> ValuesView:
+        return _PrefixValues(self)
+
+    def items(self) -> ItemsView:
+        return _PrefixItems(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _PrefixKeys(KeysView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping)
+
+
+class _PrefixValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return self._mapping._walk(dict.values)
+
+
+class _PrefixItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return self._mapping._walk(dict.items)
+
+
+def _read_only(table: Mapping[tuple[int, int], int], bound: int) -> _WeightPrefix:
+    """A view as given, or a view over a copy of any other mapping, in its own order."""
+    if type(table) is _WeightPrefix:
+        return table
+    return _WeightPrefix(dict(table), bound, len(table))
+
+
 class MzvCounts(_Frozen):
     """Irreducible counts by (weight, depth), for the full grid w <= max_weight.
 
     ``mzv`` holds the zeta-value counts, ``euler`` the alternating-sum
     counts.  Zero entries are stored too: a vanishing count is data.  Both
-    hold the grid keys in increasing (w, d) order, so a cut is a prefix.  The
+    are read-only mappings over the grid keys in increasing (w, d) order: a
+    cut views the same prefix of the largest expansion's two dicts and
+    copies nothing, and a table given as any other mapping is copied.  The
     two tables first differ at weight 12, at depth 2 (D = 1, M = 2) and at
     depth 4 (D = 1, M = 0), and the two differences cancel: forgetting
     depth (x = X**2, y = X**3, where y**2 - x**3 vanishes) turns both
@@ -80,8 +152,8 @@ class MzvCounts(_Frozen):
             raise ValueError("weight bound must be >= 0")
         # direct sets: every cut builds one, and the base's constructor is slower
         object.__setattr__(self, "max_weight", max_weight)
-        object.__setattr__(self, "mzv", mzv)
-        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "mzv", _read_only(mzv, max_weight))
+        object.__setattr__(self, "euler", _read_only(euler, max_weight))
 
     def grid(self) -> list[tuple[int, int]]:
         """All (w, d) points with d >= 1 and w = 2j + 3d <= max_weight: the table keys."""
@@ -99,11 +171,12 @@ class MzvCounts(_Frozen):
         return self._lookup(self.euler, w, d)
 
     def truncate(self, max_weight: int) -> MzvCounts:
-        """The tables through a smaller weight bound: the same prefix of both dicts."""
+        """The tables through a smaller weight bound: views of the same prefix of both dicts."""
         if max_weight > self.max_weight:
             raise IndexOutOfRange(f"cannot extend weight bound {self.max_weight} to {max_weight}")
         size = sum((max_weight - 3 * d) // 2 + 1 for d in range(1, max_weight // 3 + 1))
-        mzv, euler = (dict(islice(table.items(), size)) for table in (self.mzv, self.euler))
+        mzv = _WeightPrefix(self.mzv._table, max_weight, size)
+        euler = _WeightPrefix(self.euler._table, max_weight, size)
         return MzvCounts(max_weight, mzv, euler)
 
 

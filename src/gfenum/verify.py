@@ -120,10 +120,11 @@ def load_reference(path) -> list[ReferenceEntry]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split("\t")
+        fields = raw.split("\t")  # before trimming, so an empty first or last field counts
         if len(fields) != 4:
             raise ReferenceFormatError(f"{path}: line {lineno}: expected 4 tab-separated fields")
         claim_id, location, kind, payload = fields
+        claim_id, payload = claim_id.lstrip(), payload.rstrip()
         if kind not in KINDS:
             raise ReferenceFormatError(f"{path}: line {lineno}: unknown claim kind {kind!r}")
         entries.append(ReferenceEntry(claim_id, location, kind, payload))

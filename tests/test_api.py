@@ -84,7 +84,7 @@ class TestContainers:
     @pytest.mark.parametrize("make, field", _FROZEN)
     def test_a_frozen_container_hashes_its_fields(self, make, field):
         value = make()
-        if isinstance(value, MzvCounts):  # dict fields, unhashable
+        if isinstance(value, MzvCounts):  # mapping fields, unhashable
             with pytest.raises(TypeError):
                 hash(value)
         else:

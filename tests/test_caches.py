@@ -7,12 +7,15 @@ expansion at that size (``__wrapped__``, which never touches the
 cache), invalid sizes must raise as they do cold, and cache_clear must
 drop everything, the expansion included.  A cut costs what it returns:
 a beta_table cut is a slice of the largest table's rows, and an
-mzv_counts cut is the same prefix of both dicts, whose keys run in
-increasing (w, d) order.
+mzv_counts cut is a pair of read-only views of the same prefix of the
+largest expansion's two dicts, whose keys run in increasing (w, d)
+order.  No served value can be changed in place, so no caller can
+change what a later call is served.
 """
 
 import random
 from functools import lru_cache
+from operator import delitem, setitem
 from unittest import mock
 
 import pytest
@@ -210,3 +213,98 @@ def test_a_table_with_a_negative_bound_cannot_be_constructed():
         MzvCounts(-3, {}, {})
     assert BetaTable(0, ((1,),)).entries == {(0, 0): 1}
     assert MzvCounts(0, {}, {}).grid() == []
+
+
+def test_an_mzv_counts_cut_views_the_largest_expansions_dicts():
+    mzv_counts.cache_clear()
+    largest = mzv_counts(96)
+    cut = mzv_counts(60)
+    for name in ("mzv", "euler"):
+        assert getattr(cut, name)._table is getattr(largest, name)._table, name
+
+
+# Keys absent from a weight-60 table: past its prefix, off the grid, and not pairs at all
+ABSENT_KEYS = [(61, 1), (62, 2), (96, 32), (4, 1), (60, 1), (60, 0), "w", 7, (3, 1, 0), None]
+
+
+def _absent(table, key):
+    """How the table reads a key: membership, get, get with a default, and [] (or its error)."""
+    try:
+        item = table[key]
+    except KeyError:
+        item = KeyError
+    return key in table, table.get(key), table.get(key, "absent"), item
+
+
+def test_an_mzv_counts_view_reads_as_the_dict_it_replaces():
+    mzv_counts.cache_clear()
+    largest = mzv_counts(96)
+    cut = mzv_counts(60)
+    for name in ("mzv", "euler"):
+        view, whole = getattr(cut, name), getattr(largest, name)
+        plain = {key: value for key, value in whole.items() if key[0] <= 60}
+        assert len(view) == len(plain) == 300
+        assert list(view) == list(view.keys()) == list(plain)
+        assert list(view.items()) == list(plain.items())
+        assert list(view.values()) == list(plain.values())
+        assert len(view.items()) == len(view.values()) == len(view.keys()) == 300
+        assert ((60, 2), plain[(60, 2)]) in view.items() and (61, 1) not in view.keys()
+        assert all(view[key] == view.get(key) == value for key, value in plain.items())
+        for key in ABSENT_KEYS:
+            assert _absent(view, key) == _absent(plain, key) == (False, None, "absent", KeyError)
+        assert view == plain and plain == view and not view != plain and not plain != view
+        changed = {**plain, (3, 1): 2}
+        assert view != changed and changed != view and view != whole and whole != view
+        assert repr(view) == repr(plain)
+    with pytest.raises(TypeError):
+        hash(cut)
+    with pytest.raises(TypeError):
+        hash(MzvCounts(3, {(3, 1): 1}, {(3, 1): 1}))
+
+
+def test_a_table_given_as_a_plain_mapping_is_copied():
+    mzv, euler = {(3, 1): 1}, {(3, 1): 1}
+    counts = MzvCounts(3, mzv, euler)
+    mzv[(3, 1)] = euler[(3, 1)] = 5
+    assert counts.mzv_count(3, 1) == counts.euler_count(3, 1) == 1
+    assert counts.truncate(3) == counts and counts.truncate(2).grid() == []
+
+
+# Each grown cache, with the attempts to change a value it serves in place
+MUTATIONS = [
+    pytest.param(build_b, 0, lambda b: [
+        (setitem, b.coeffs, 0, ()), (setitem, b.coeffs[0], 0, 9), (setattr, b, "coeffs", ()),
+    ], id="build_b"),
+    pytest.param(p_closed, 1, lambda p: [
+        (setitem, p.coeffs, 0, 9), (setattr, p, "coeffs", ()), (setattr, p, "trunc_order", 0),
+    ], id="p_closed"),
+    pytest.param(p_from_b, 1, lambda p: [
+        (setitem, p.coeffs, 0, 9), (setattr, p, "coeffs", ()), (setattr, p, "trunc_order", 0),
+    ], id="p_from_b"),
+    pytest.param(beta_table, 0, lambda t: [
+        (setitem, t.rows, 0, ()), (setitem, t.rows[-1], 0, 9),
+        (setitem, t.entries, (t.max_m, 0), -5), (delitem, t.entries, (0, 0)),
+        (setattr, t, "entries", {}), (setattr, t, "rows", ()),
+    ], id="beta_table"),
+    pytest.param(mzv_counts, 0, lambda c: [
+        (setitem, c.mzv, (3, 1), 99), (setitem, c.euler, (3, 1), 99),
+        (delitem, c.mzv, (3, 1)), (setitem, c.mzv, (c.max_weight + 1, 1), 1),
+        (setattr, c, "mzv", {}), (setattr, c, "max_weight", 3),
+    ], id="mzv_counts"),
+]
+
+
+def _contents(value):
+    """A value's fields, and a beta table's entries, which its == does not compare."""
+    return value, dict(value.entries) if isinstance(value, BetaTable) else None
+
+
+@pytest.mark.parametrize("grown, least, attempts", MUTATIONS)
+def test_a_served_value_cannot_be_changed_in_place(grown, least, attempts):
+    grown.cache_clear()
+    for size in (LARGEST, 12):  # the expansion and a cut
+        for mutate, *args in attempts(grown(size)):
+            with pytest.raises((TypeError, AttributeError)):
+                mutate(*args)
+    for size in range(least, LARGEST + 1):
+        assert _contents(grown(size)) == _contents(grown.__wrapped__(size)), size

@@ -202,6 +202,19 @@ class TestExitCodes:
         assert row[:3] == ["table1:m30:u02", "fail", "1"]
         assert row[3].startswith("outside the engine horizon")
 
+    @pytest.mark.parametrize(
+        "line", ["table1:m12:u06\tx\texact_value\t", "\tx\texact_value\t15"],
+        ids=["empty-payload", "empty-id"],
+    )
+    def test_an_empty_first_or_last_field_fails_its_claim(self, capsys, tmp_path, line):
+        data = tmp_path / "empty.tsv"
+        data.write_text(f"table1:m12:u06\tx\texact_value\t15\n{line}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", "--data", str(data))
+        assert code == 1
+        failing = [row.split("\t") for row in out.splitlines() if "\tfail\t" in row]
+        assert [row[0] for row in failing] == [line.split("\t")[0]]
+        assert "Traceback" not in err and "1 passed, 1 failed" in err
+
     def test_a_claim_index_too_long_for_int_fails_only_its_claim(self, capsys, tmp_path):
         claim_id = f"table1:m{'1' * 5000}:u02"
         data = tmp_path / "huge.tsv"

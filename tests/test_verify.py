@@ -166,6 +166,32 @@ class TestFileFormat:
             ReferenceEntry("const:r", "x", "decimal_constant", "1.38027756909761,1e-12")
         ]
 
+    @pytest.mark.parametrize(
+        "line, entry, actual",
+        [
+            ("table1:m12:u06\tx\texact_value\t", ("table1:m12:u06", "x", "exact_value", ""),
+             "malformed claim"),
+            ("\tx\texact_value\t15", ("", "x", "exact_value", "15"), "unrecognized claim id"),
+        ],
+        ids=["empty-payload", "empty-id"],
+    )
+    def test_an_empty_first_or_last_field_fails_only_its_claim(
+        self, tmp_path, line, entry, actual
+    ):
+        data = tmp_path / "empty.tsv"
+        data.write_text(f"table1:m12:u06\tx\texact_value\t15\n{line}\n", encoding="utf-8")
+        assert load_reference(data)[1] == ReferenceEntry(*entry)
+        report = run_all(data)
+        assert report.passed == 1
+        (bad,) = [r for r in report.results if not r.ok]
+        assert bad.claim_id == entry[0] and bad.actual.startswith(actual)
+
+    def test_spaces_around_a_line_are_trimmed(self, tmp_path):
+        spaced = tmp_path / "spaced.tsv"
+        spaced.write_text("  table1:m12:u06\tx\texact_value\t15 \r\n", encoding="utf-8")
+        entry = ReferenceEntry("table1:m12:u06", "x", "exact_value", "15")
+        assert load_reference(spaced) == [entry]
+
     def test_unrecognized_claim_id_fails_the_claim(self, tmp_path):
         data = tmp_path / "odd.tsv"
         data.write_text("nonsense:claim\tx\texact_value\t1\n", encoding="utf-8")
