@@ -190,10 +190,10 @@ def mzv_counts(max_weight: int) -> MzvCounts:
     CrossCheckError on any mismatch.
     """
     grid = [(w, d) for w in range(3, max_weight + 1) for d in range(2 - w % 2, w // 3 + 1, 2)]
-    exps_mzv = _peel_rational(_MZV_NUMERATOR, _MZV_DENOMINATOR, 2, 3, max_weight)
-    exps_eul = _peel_rational(_EUL_NUMERATOR, _EUL_DENOMINATOR, 2, 3, max_weight)
+    rows_mzv = _peel_rational(_MZV_NUMERATOR, _MZV_DENOMINATOR, 2, 3, max_weight)
+    rows_eul = _peel_rational(_EUL_NUMERATOR, _EUL_DENOMINATOR, 2, 3, max_weight)
     mzv, euler = (  # keyed (w, d) weight-major, so a cut is a prefix
-        {(w, d): e.get(((w - 3 * d) // 2, d), 0) for w, d in grid} for e in (exps_mzv, exps_eul)
+        {(w, d): rows[(w - 3 * d) // 2][d] for w, d in grid} for rows in (rows_mzv, rows_eul)
     )
     counts = MzvCounts(max_weight, mzv, euler)
     _cross_check_diagonals(counts)

@@ -29,19 +29,21 @@ a from c by the recurrence over the degree.  A product of integer
 factors has integer a_n, so the division by n is exact; it is checked
 anyway.  The peel takes F as a quotient N / prod(f), a series being the
 quotient F / 1, and gets c = E(N)/N - sum_f E(f)/f by one sparse
-division per polynomial, never expanding F.  Moebius inversion over the
-multiples then recovers e from c.  An inexact division by wt(n) there is
-exactly the case where no integer exponent family exists, so it raises
+division over the common denominator N * prod(f), never expanding F.
+Moebius inversion along each ray of monomials {m * n : m >= 1} then
+recovers e from c.  An inexact division by wt(n) there is exactly the
+case where no integer exponent family exists, so it raises
 NonIntegerExponent instead of producing a rational.
 """
 
 from __future__ import annotations
 
-from operator import add, mul
+from functools import reduce
+from operator import floordiv, mod, mul, sub
 from typing import Mapping, Sequence
 
 from .generators import Terms, _expand_rational
-from .series import BiSeries, Coeff, UniSeries, _zero_rows
+from .series import BiSeries, Coeff, UniSeries
 
 PRODUCT_OF_INVERSES = "product_of_inverses"
 PRODUCT_PLAIN = "product_plain"
@@ -69,68 +71,64 @@ def _sign(form: str) -> int:
     return 1 if form == PRODUCT_PLAIN else -1
 
 
-def _monomials(weight_x: int, weight_y: int, max_weight: int) -> list[tuple[int, int, int]]:
-    """(wt, d, j) for every nonconstant monomial of the grid, in increasing order.
+def _times(a: Terms, b: Terms) -> dict[Monomial, Coeff]:
+    """The product of two sparse polynomials."""
+    out: dict[Monomial, Coeff] = {}
+    for (j, d), s in a.items():
+        for (k, e), t in b.items():
+            out[j + k, d + e] = out.get((j + k, d + e), 0) + s * t
+    return out
 
-    Every proper divisor and every componentwise-smaller monomial of n has
-    smaller weight, so this order visits them all before n.
+
+def _exponents(c: list[list[Coeff]], weight_x: int, weight_y: int) -> list[list[int]]:
+    """The rows of e with c_n = sum_{k | n} wt(k) * e_k, inverting c in place; e(0, 0) reads 0.
+
+    On each ray {m * n : m >= 1} c is a divisor sum over m, so Moebius
+    inversion recovers wt * e: per prime p, one strided pass per row j,
+    last row first, subtracts row j from every p-th entry of row p * j.
     """
-    return sorted(
-        (weight_x * j + weight_y * d, d, j)
-        for j in range(max_weight // weight_x + 1)
-        for d in range((max_weight - weight_x * j) // weight_y + 1)
-        if j or d
-    )
-
-
-def _add_to_multiples(rows: list[list[Coeff]], j: int, d: int, value: Coeff) -> None:
-    """Add value at t * (j, d) for every t >= 1 that lies in the grid."""
-    t = 1
-    while t * j < len(rows) and t * d < len(rows[t * j]):
-        rows[t * j][t * d] += value
-        t += 1
-
-
-def _exponents(
-    c: Sequence[Sequence[Coeff]], weight_x: int, weight_y: int, max_weight: int
-) -> dict[Monomial, int]:
-    """The nonzero e_n with c_n = sum_{k | n} wt(k) * e_k, keyed by increasing weight, then d."""
-    # wt(k) * e_k summed over the divisors k of each monomial inverted so far;
-    # at n that is exactly the proper divisors
-    divisor_sums = _zero_rows(weight_x, weight_y, max_weight)
-    exponents: dict[Monomial, int] = {}
-    for wt, d, j in _monomials(weight_x, weight_y, max_weight):
-        residue = c[j][d] - divisor_sums[j][d]
-        e, rest = divmod(residue, wt)
-        if rest:
-            raise NonIntegerExponent(f"exponent of monomial {(j, d)} is {residue / wt}")
-        if e:
-            exponents[(j, d)] = e
-            _add_to_multiples(divisor_sums, j, d, wt * e)
-    return exponents
+    length = max(len(c), len(c[0]))
+    composite = set()
+    for p in range(2, length):
+        if p not in composite:
+            composite.update(range(p * p, length, p))
+            for j in range((len(c) - 1) // p, -1, -1):
+                c[p * j][::p] = map(sub, c[p * j][::p], c[j])
+    rows, failed = [], []
+    for j, row in enumerate(c):
+        d0 = 0 if j else 1  # the first d with an exponent: the constant monomial has none
+        weights = range(weight_x * j + weight_y * d0, weight_x * j + weight_y * len(row), weight_y)
+        if any(map(mod, row[d0:], weights)):
+            failed += [(wt, d, j) for d, wt in enumerate(weights, d0) if row[d] % wt]
+        rows.append([0] * d0 + list(map(floordiv, row[d0:], weights)))
+    if failed:  # the first in (weight, d) order, where an inversion in that order stops
+        wt, d, j = min(failed)
+        raise NonIntegerExponent(f"exponent of monomial {(j, d)} is {c[j][d] / wt}")
+    return rows
 
 
 def _peel_rational(
     numerator: Terms, factors: Sequence[Terms], weight_x: int, weight_y: int, max_weight: int
-) -> dict[Monomial, int]:
-    """The plain-product exponents of F = numerator / prod(factors), never expanding F.
+) -> list[list[int]]:
+    """The rows of plain-product exponents of F = numerator / prod(factors), never expanding F.
 
-    The log-derivative of 1/F is sum_f E(f)/f - E(N)/N, one sparse
-    division per polynomial; its product-of-inverses exponents are the
-    plain-product exponents of F.  A nonzero exponent at d = 0 means
-    F(x, 0) != 1, so F is no product over positive depth, and raises
-    NonIntegerExponent.
+    The log-derivative of 1/F, sum_f E(f)/f - E(N)/N, is (N * E(D) - E(N) * D) / (N * D)
+    with D = prod(f), as E is a derivation: one sparse division, whose
+    product-of-inverses exponents are the plain-product exponents of F.
+    A nonzero exponent at d = 0 means F(x, 0) != 1, so F is no product
+    over positive depth, and raises NonIntegerExponent.
     """
     if numerator.get((0, 0)) != 1:
         raise NonUnitConstant(f"constant term is {numerator.get((0, 0), 0)}, expected 1")
-    grid = weight_x, weight_y, max_weight
-    c = _zero_rows(*grid)
-    for poly, sign in ((numerator, -1), *((factor, 1) for factor in factors)):
-        euler_op = {(j, d): sign * (weight_x * j + weight_y * d) * t for (j, d), t in poly.items()}
-        for row, term in zip(c, _expand_rational(euler_op, [poly], *grid)):
-            row[:] = map(add, row, term)
-    exponents = _exponents(c, *grid)
-    if any(not d for _, d in exponents):
+    denominator = reduce(_times, factors, {(0, 0): 1})
+    top: dict[Monomial, Coeff] = {}
+    for (j, d), s in numerator.items():
+        for (k, e), t in denominator.items():
+            scale = weight_x * (k - j) + weight_y * (e - d)
+            top[j + k, d + e] = top.get((j + k, d + e), 0) + scale * s * t
+    c = _expand_rational(top, (numerator, *factors), weight_x, weight_y, max_weight)
+    exponents = _exponents(c, weight_x, weight_y)
+    if any(row[0] for row in exponents):
         raise NonIntegerExponent("a pure-x factor remains; F is not a product over positive depth")
     return exponents
 
@@ -178,5 +176,7 @@ def peel_bi(series: BiSeries, form: str = PRODUCT_PLAIN) -> dict[Monomial, int]:
     """
     sign = _sign(form)
     terms = {(j, d): c for j, d, c in series.nonzero_terms()}
-    exponents = _peel_rational(terms, (), series.weight_x, series.weight_y, series.max_weight)
-    return {jd: sign * e for jd, e in exponents.items()}
+    rows = _peel_rational(terms, (), series.weight_x, series.weight_y, series.max_weight)
+    keys = sorted((series.weight_x * j + series.weight_y * d, d, j)
+                  for j, row in enumerate(rows) for d, e in enumerate(row) if e)
+    return {(j, d): sign * rows[j][d] for _, d, j in keys}

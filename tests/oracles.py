@@ -6,7 +6,9 @@ zeros), the x = 0 row (`bi_x0_row`), sums and differences, schoolbook
 products (`uni_mul`, `bi_mul`) and term-by-term inverses (`uni_inverse`,
 `bi_inverse`) over the `UniSeries` and `BiSeries` containers, and the
 forward Euler product built from them (`product_oracle`), and the
-x = y**2 substitution (`substitute_x`).  A sum or product is valid
+x = y**2 substitution (`substitute_x`).  `push_exponents` inverts a
+log-derivative grid monomial by monomial in weight order, the reference
+for the peel's ray-wise Moebius inversion.  A sum or product is valid
 exactly through the minimum truncation of its operands.
 The generator assemblies below use only these, so they are an
 independent reference for the division kernel; the multiset count uses
@@ -18,6 +20,7 @@ import math
 from fractions import Fraction
 
 from gfenum.series import BiSeries, UniSeries, _zero_rows
+from gfenum.transforms import NonIntegerExponent
 
 
 class WeightMismatch(ValueError):
@@ -239,6 +242,50 @@ def product_oracle(exponents, weight_x, weight_y, max_weight, sign):
         for _ in range(abs(e)):
             product = bi_mul(product, factor)
     return product
+
+
+def monomials(rows, weight_x, weight_y):
+    """(wt, d, j) for every nonconstant monomial of the grid ``rows``, in increasing order.
+
+    Every proper divisor and every componentwise-smaller monomial of n has
+    smaller weight, so this order visits them all before n.
+    """
+    return sorted(
+        (weight_x * j + weight_y * d, d, j)
+        for j, row in enumerate(rows)
+        for d in range(len(row))
+        if j or d
+    )
+
+
+def add_to_multiples(rows, j, d, value):
+    """Add value at t * (j, d) for every t >= 1 that lies in the grid."""
+    t = 1
+    while t * j < len(rows) and t * d < len(rows[t * j]):
+        rows[t * j][t * d] += value
+        t += 1
+
+
+def push_exponents(c, weight_x, weight_y):
+    """The rows of e with c_n = sum_{k | n} wt(k) * e_k; e at (0, 0) reads 0.
+
+    Monomials are inverted in increasing weight: the residue of c_n after
+    every proper divisor k has pushed wt(k) * e_k to its multiples is
+    wt(n) * e_n.  The first residue that wt(n) does not divide raises
+    NonIntegerExponent.  Takes and returns what `transforms._exponents`
+    does, and leaves c as it is, so a test can patch it in.
+    """
+    divisor_sums = [[0] * len(row) for row in c]
+    exponents = [[0] * len(row) for row in c]
+    for wt, d, j in monomials(c, weight_x, weight_y):
+        residue = c[j][d] - divisor_sums[j][d]
+        e, rest = divmod(residue, wt)
+        if rest:
+            raise NonIntegerExponent(f"exponent of monomial {(j, d)} is {residue / wt}")
+        if e:
+            exponents[j][d] = e
+            add_to_multiples(divisor_sums, j, d, wt * e)
+    return exponents
 
 
 def multiset_oracle(exponents, min_degree, target):

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from gfenum import transforms
 from gfenum.mzv import (
     DEPTH_DIAGONAL_CHECKED_MAX,
     CrossCheckError,
@@ -27,6 +29,7 @@ from oracles import (
     build_eul_rhs_dense,
     build_mzv_rhs_dense,
     product_oracle,
+    push_exponents,
     uni_from_terms,
 )
 
@@ -141,6 +144,16 @@ class TestCounts:
         for table, rhs in ((counts.mzv, build_mzv_rhs(23)), (counts.euler, build_eul_rhs(23))):
             exponents = {((w - 3 * d) // 2, d): e for (w, d), e in table.items() if e}
             assert product_oracle(exponents, 2, 3, 23, 1) == rhs  # plain product: power +e
+
+
+    def test_tables_match_the_push_form_peel_through_the_cli_maximum(self):
+        # the oracle inverts the same log-derivative grids monomial by monomial, in weight order
+        for weight in [*range(151), 300]:
+            counts = mzv_counts.__wrapped__(weight)
+            with mock.patch.object(transforms, "_exponents", push_exponents):
+                expected = mzv_counts.__wrapped__(weight)
+            assert list(counts.mzv.items()) == list(expected.mzv.items()), weight
+            assert list(counts.euler.items()) == list(expected.euler.items()), weight
 
 
 class TestDepthDiagonal:

@@ -1,19 +1,22 @@
+import copy
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfenum import mzv
+from gfenum import mzv, transforms
 from gfenum.generators import primitive_counts
-from gfenum.series import BiSeries
+from gfenum.series import BiSeries, _zero_rows
 from gfenum.transforms import (
     PRODUCT_OF_INVERSES,
     PRODUCT_PLAIN,
     NegativeExponent,
     NonIntegerExponent,
     NonUnitConstant,
+    _exponents,
     _peel_rational,
     euler_expand,
     peel_bi,
@@ -26,12 +29,19 @@ from oracles import (
     bi_x0_row,
     bi_zero,
     multiset_oracle,
+    add_to_multiples,
     product_oracle,
+    push_exponents,
     uni_from_coeffs,
     uni_from_terms,
     uni_inverse,
     uni_one,
 )
+
+
+def nonzero(rows):
+    """The nonzero entries of exponent rows, keyed (j, d)."""
+    return {(j, d): e for j, row in enumerate(rows) for d, e in enumerate(row) if e}
 
 
 def p_exponents(max_m=20):
@@ -243,9 +253,13 @@ class TestPeelRational:
     )
     def test_equals_peel_bi_of_the_expanded_generator(self, numerator, factors, build):
         for weight in [*range(61), 100, 150]:
-            exponents = _peel_rational(numerator, factors, 2, 3, weight)
+            rows = _peel_rational(numerator, factors, 2, 3, weight)
             expected = peel_bi(build(weight))
-            assert list(exponents.items()) == list(expected.items()), weight  # key order too
+            assert [len(row) for row in rows] == [len(row) for row in build(weight).coeffs]
+            assert nonzero(rows) == expected, weight
+            # peel_bi's keys run in increasing weight, then d
+            order = sorted(expected, key=lambda jd: (2 * jd[0] + 3 * jd[1], jd[1]))
+            assert list(expected) == order, weight
 
     @pytest.mark.parametrize(
         "numerator, factors, build",
@@ -257,7 +271,7 @@ class TestPeelRational:
     )
     def test_dense_reexpansion_reproduces_the_generator(self, numerator, factors, build):
         # peel_bi runs the same division, so the independent check is a dense re-expansion
-        exponents = _peel_rational(numerator, factors, 2, 3, 30)
+        exponents = nonzero(_peel_rational(numerator, factors, 2, 3, 30))
         assert product_oracle(exponents, 2, 3, 30, SIGN[PRODUCT_PLAIN]) == build(30)
 
     @given(bi_families())
@@ -267,7 +281,7 @@ class TestPeelRational:
         expanded = product_oracle(positive, 2, 3, BI_WEIGHT, SIGN[PRODUCT_PLAIN])
         numerator = {(j, d): c for j, d, c in expanded.nonzero_terms()}
         factors = [{(0, 0): 1, jd: -1} for jd, e in exponents.items() for _ in range(-e)]
-        assert _peel_rational(numerator, factors, 2, 3, BI_WEIGHT) == exponents
+        assert nonzero(_peel_rational(numerator, factors, 2, 3, BI_WEIGHT)) == exponents
 
     def test_a_pure_x_factor_is_not_a_product_over_positive_depth(self):
         with pytest.raises(NonIntegerExponent, match="pure-x"):
@@ -276,6 +290,88 @@ class TestPeelRational:
     def test_numerator_constant_must_be_one(self):
         with pytest.raises(NonUnitConstant):
             _peel_rational({(0, 0): 2, (0, 1): -1}, [], 2, 3, 9)
+
+
+# the weighted grids the peel runs on: mzv's, one of weight (2, 1), and peel_uni's one row
+GRIDS = [
+    pytest.param(lambda size: (2, 3, size), id="weights-2-3"),
+    pytest.param(lambda size: (2, 1, size), id="weights-2-1"),
+    pytest.param(lambda size: (size + 1, 1, size), id="one-row"),
+]
+COEFFS = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=4))
+
+
+def outcome(peel, *args):
+    """What a peel returns, or the type and message of what it raises."""
+    try:
+        return peel(*args)
+    except (NonIntegerExponent, NonUnitConstant) as exc:
+        return type(exc), str(exc)
+
+
+def product_grid(weight_x, weight_y, max_weight, data):
+    """A random integer exponent family on the grid, as rows, and its log-derivative grid c."""
+    exponents = _zero_rows(weight_x, weight_y, max_weight)
+    c = _zero_rows(weight_x, weight_y, max_weight)
+    cells = [(j, d) for j, row in enumerate(c) for d in range(len(row)) if j or d]
+    family = data.draw(st.lists(st.sampled_from(cells), max_size=8, unique=True)) if cells else []
+    for j, d in family:
+        exponents[j][d] = data.draw(st.integers(-5, 5))
+        add_to_multiples(c, j, d, (weight_x * j + weight_y * d) * exponents[j][d])
+    return exponents, c, cells
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+class TestRayInversion:
+    """The ray-wise Moebius inversion against the weight-ordered push form of tests/oracles.py."""
+
+    @given(st.integers(0, 18), st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_recovers_integer_exponent_families(self, grid, size, data):
+        weight_x, weight_y, max_weight = grid(size)
+        expected, c, _ = product_grid(weight_x, weight_y, max_weight, data)
+        assert push_exponents(c, weight_x, weight_y) == expected
+        assert _exponents(c, weight_x, weight_y) == expected
+
+    @given(st.integers(2, 18), st.booleans(), st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_a_grid_moved_off_a_product_fails_alike(self, grid, size, fractions, data):
+        # one cell n moved by a non-multiple of wt(n), and maybe some heavier cells moved too,
+        # all of one number type: the first failure is at n, with one message from both forms
+        weight_x, weight_y, max_weight = grid(size)
+        _, c, cells = product_grid(weight_x, weight_y, max_weight, data)
+        weight = {(j, d): weight_x * j + weight_y * d for j, d in cells}
+        if fractions:
+            c = [list(map(Fraction, row)) for row in c]
+            values = st.fractions(-9, 9, max_denominator=4)
+            j, d = data.draw(st.sampled_from(cells))
+            c[j][d] += data.draw(values.filter(lambda v: v.denominator > 1))
+        else:
+            values = st.integers(-9, 9)
+            j, d = data.draw(st.sampled_from([jd for jd in cells if weight[jd] > 1]))
+            c[j][d] += data.draw(values.filter(lambda v: v % weight[j, d]))
+        heavier = [jd for jd in cells if weight[jd] > weight[j, d]]
+        for k, e in data.draw(st.lists(st.sampled_from(heavier), max_size=3)) if heavier else ():
+            c[k][e] += data.draw(values)
+        expected = outcome(push_exponents, c, weight_x, weight_y)
+        assert expected[0] is NonIntegerExponent and f"monomial {(j, d)} is " in expected[1]
+        assert outcome(_exponents, copy.deepcopy(c), weight_x, weight_y) == expected
+
+    @given(st.integers(0, 18), st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_a_random_series_peels_alike(self, grid, size, data):
+        # numerators of ints and fractions, so the log-derivative grids mix both types
+        weight_x, weight_y, max_weight = grid(size)
+        cells = [(j, d) for j, row in enumerate(_zero_rows(weight_x, weight_y, max_weight))
+                 for d in range(len(row)) if j or d]
+        terms = {}
+        if cells:
+            terms = data.draw(st.dictionaries(st.sampled_from(cells), COEFFS, max_size=6))
+        numerator = {(0, 0): data.draw(st.sampled_from([1, Fraction(1)])), **terms}
+        args = numerator, (), weight_x, weight_y, max_weight
+        with mock.patch.object(transforms, "_exponents", push_exponents):
+            expected = outcome(_peel_rational, *args)
+        assert outcome(_peel_rational, *args) == expected
 
 
 class TestMultisetOracle:
