@@ -21,8 +21,8 @@ agree coefficient for coefficient; `verify` enforces that.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, wraps
-from itertools import accumulate, repeat
-from operator import add, getitem, mul, sub
+from itertools import accumulate, chain, repeat
+from operator import add, mul, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -90,34 +90,45 @@ def _expand_rational(
     The numerator is placed on the grid and divided by one factor at a
     time, in place, row by row: row[j][d] -= c * rows[j - fj][d - fd] for
     each nonconstant term c * x**fj * y**fd.  Terms with fj > 0 read rows
-    already divided, and no shorter, so each is one pass at C speed; terms
-    with fj = 0 then leave a recurrence along the row: a running sum per
-    residue class for 1 - y**k, else one loop that multiplies only by lags
-    other than 1.  The factors are never multiplied together.  A
-    one-grading series is the j = 0 row with weights (N + 1, 1).
+    already divided, and no shorter: one chain of maps per row, C speed.
+    Terms with fj = 0 then leave a recurrence along the row: a running sum
+    per residue class for 1 - y**k, else one loop that multiplies only by
+    lags other than 1.  Until a factor has an x-term, only the numerator's
+    rows are divided; the rest stay zero.  The factors are never multiplied
+    together.  A one-grading series is the j = 0 row with weights (N + 1, 1).
     """
     if any(factor.get((0, 0)) != 1 for factor in factors):
         raise ValueError("denominator factors must have constant term 1")
-    for poly in (numerator, *factors):
-        if any(j < 0 or d < 0 for j, d in poly):
-            raise ValueError("negative degrees are not representable")
+    if any(j < 0 or d < 0 for poly in (numerator, *factors) for j, d in poly):
+        raise ValueError("negative degrees are not representable")
     rows = _zero_rows(weight_x, weight_y, max_weight)
+    live = 0  # rows from here on hold only int zeros
     for (j, d), c in numerator.items():
         if weight_x * j + weight_y * d <= max_weight:
             rows[j][d] += c
+            live = max(live, j + 1)
     for factor in factors:
-        earlier = [(fj, fd, c) for (fj, fd), c in factor.items() if fj and c]
+        # row += -c * y**fd * rows[j - fj] per x-term, with no product when c = 1 or -1
+        earlier = [(fj, fd, add if c == -1 else sub, None if c in (1, -1) else c)
+                   for (fj, fd), c in factor.items() if fj and c]
         lags = [(fd, -c) for (fj, fd), c in factor.items() if not fj and fd and c]
-        for j, row in enumerate(rows):
-            for fj, fd, c in earlier:
-                if fj <= j:  # row[fd:] -= c * source, with no product when c = 1 or -1
-                    source = rows[j - fj] if c in (1, -1) else map(mul, repeat(c), rows[j - fj])
-                    row[fd:] = map(add if c == -1 else sub, row[fd:], source)
-            if len(lags) == 1 and lags[0][1] == 1:  # 1 - y**k: running sums per residue class
-                k = lags[0][0]
+        k = lags[0][0] if len(lags) == 1 and lags[0][1] == 1 else 0  # 1 - y**k: running sums
+        if earlier:
+            live = len(rows)
+        for j, row in enumerate(rows[:live]):
+            out = row  # the x-terms' passes folded into one assignment
+            for fj, fd, op, c in earlier:
+                if fj <= j:
+                    source = rows[j - fj] if c is None else map(mul, repeat(c), rows[j - fj])
+                    out = map(op, out, chain(repeat(0, fd), source) if fd else source)
+            if k == 1:  # with the running sum folded in too
+                row[:] = accumulate(out)
+            elif out is not row:
+                row[:] = out
+            if k > 1:  # one running sum per residue class
                 for r in range(min(k, len(row))):
                     row[r::k] = accumulate(row[r::k])
-            elif lags:
+            elif lags and not k:
                 for d in range(len(row)):
                     acc = row[d]
                     for fd, a in lags:
@@ -242,8 +253,9 @@ def beta_table(max_m: int) -> BetaTable:
     can silently read a stale zero; odd-u entries are zero by convention.
     """
     coeffs = build_b(max_m).coeffs  # coeffs[j][m - 2j] = beta(m, 2j) - 1
-    rows = (map(getitem, coeffs, range(m, -1, -2)) for m in range(max_m + 1))
-    rows = [tuple(map(add, row, repeat(1))) for row in rows]
+    # row j shifted right by 2j holds beta(m, 2j) in column m, so a transpose reads the table
+    shifted = [(0,) * (2 * j) + tuple(map(add, row, repeat(1))) for j, row in enumerate(coeffs)]
+    rows = [column[: m // 2 + 1] for m, column in enumerate(zip(*shifted))]
     if max_m:
         rows[1] += (1,)  # beta(1, 2) = 1
     return BetaTable(max_m, tuple(rows))

@@ -15,7 +15,8 @@ output.
 from __future__ import annotations
 
 from collections.abc import ItemsView, Iterator, KeysView, Mapping, ValuesView
-from itertools import islice
+from itertools import islice, repeat
+from operator import eq, itemgetter, sub
 
 from .generators import _expand_rational, _grown, g_series
 from .series import BiSeries, IndexOutOfRange, _Frozen
@@ -191,33 +192,28 @@ def mzv_counts(max_weight: int) -> MzvCounts:
     """
     grid = [(w, d) for w in range(3, max_weight + 1) for d in range(2 - w % 2, w // 3 + 1, 2)]
     rows_mzv = _peel_rational(_MZV_NUMERATOR, _MZV_DENOMINATOR, 2, 3, max_weight)
+    _cross_check_diagonals(rows_mzv, max_weight)
     rows_eul = _peel_rational(_EUL_NUMERATOR, _EUL_DENOMINATOR, 2, 3, max_weight)
     mzv, euler = (  # keyed (w, d) weight-major, so a cut is a prefix
         {(w, d): rows[(w - 3 * d) // 2][d] for w, d in grid} for rows in (rows_mzv, rows_eul)
     )
-    counts = MzvCounts(max_weight, mzv, euler)
-    _cross_check_diagonals(counts)
-    return counts
+    return MzvCounts(max_weight, mzv, euler)
 
 
-def _cross_check_diagonals(counts: MzvCounts) -> None:
-    w = counts.max_weight
-    # depth 1: one count at every odd weight from 3 up, the series 1/(1 - x);
-    # depth 2 starts at weight 8 and follows 1/((1 - x)(1 - x**3))
-    for depth, first, k in ((1, 3, 0), (2, 8, 1)):
+def _cross_check_diagonals(rows: list[list[int]], w: int) -> None:
+    """Compare the zeta-value counts D(w', d <= 3), in rows[(w' - 3d) // 2][d], with g_series."""
+    # D(w, 1) = 1 at odd w >= 3, as 1/(1 - x); D(w, 2) from w = 8 follows 1/((1 - x)(1 - x**3));
+    # from w = 13, D(w, 3) - D(w - 3, 2), in one row, follows the next diagonal fit
+    for depth, first, k, what in ((1, 3, 0, "count"), (2, 8, 1, "count"), (3, 13, 2, "offset")):
         if w >= first:
-            expect = g_series(k, (w - first) // 2)
-            for j in range(expect.trunc_order + 1):
-                if counts.mzv_count(first + 2 * j, depth) != expect[j]:
-                    raise CrossCheckError(f"depth-{depth} count at weight {first + 2 * j} is off")
-    if w >= 6 and counts.mzv_count(6, 2) != 0:
+            expect = g_series(k, (w - first) // 2).coeffs
+            part = rows[(first - 3 * depth) // 2 :][: len(expect)]
+            less = map(itemgetter(2), part) if depth == 3 else repeat(0)
+            found = tuple(map(sub, map(itemgetter(depth), part), less))
+            if found != expect:
+                j = [*map(eq, found, expect)].index(False)
+                raise CrossCheckError(f"depth-{depth} {what} at weight {first + 2 * j} is off")
+    if w >= 6 and rows[0][2]:
         raise CrossCheckError("depth-2 count at weight 6 should vanish")
-    # depth 3: the differences against depth 2 follow the next diagonal fit
-    if w >= 13:
-        expect = g_series(2, (w - 13) // 2)
-        for j in range(1, expect.trunc_order + 2):
-            diff = counts.mzv_count(11 + 2 * j, 3) - counts.mzv_count(8 + 2 * j, 2)
-            if diff != expect[j - 1]:
-                raise CrossCheckError(f"depth-3 offset at weight {11 + 2 * j} is off")
-    if w >= 11 and counts.mzv_count(11, 3) != counts.mzv_count(8, 2):
+    if w >= 11 and rows[1][3] != rows[1][2]:
         raise CrossCheckError("depth-3 count at weight 11 should match depth 2 at weight 8")

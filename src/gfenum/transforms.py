@@ -27,18 +27,17 @@ where k <= n is componentwise and k | n means n = t*k for an integer
 t >= 1, so c = E(F)/F.  Forward, `euler_expand` builds c from e and then
 a from c by the recurrence over the degree.  A product of integer
 factors has integer a_n, so the division by n is exact; it is checked
-anyway.  The peel takes F as a quotient N / prod(f), a series being the
-quotient F / 1, and gets c = E(N)/N - sum_f E(f)/f by one sparse
-division over the common denominator N * prod(f), never expanding F.
-Moebius inversion along each ray of monomials {m * n : m >= 1} then
-recovers e from c.  An inexact division by wt(n) there is exactly the
-case where no integer exponent family exists, so it raises
-NonIntegerExponent instead of producing a rational.
+anyway.  The peel takes F as N / prod(f) over binomials 1 - x**a * y**b,
+a series being F / 1, and gets c = E(N)/N by one sparse division, never
+expanding F; Moebius inversion along each ray {m * n : m >= 1} recovers
+N's exponents from c, and each binomial takes 1 off its monomial's.  An
+inexact division by wt(n) is exactly the case where no integer exponent
+family exists, so it raises NonIntegerExponent instead of a rational.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from itertools import accumulate, chain
 from operator import floordiv, mod, mul, sub
 from typing import Mapping, Sequence
 
@@ -71,15 +70,6 @@ def _sign(form: str) -> int:
     return 1 if form == PRODUCT_PLAIN else -1
 
 
-def _times(a: Terms, b: Terms) -> dict[Monomial, Coeff]:
-    """The product of two sparse polynomials."""
-    out: dict[Monomial, Coeff] = {}
-    for (j, d), s in a.items():
-        for (k, e), t in b.items():
-            out[j + k, d + e] = out.get((j + k, d + e), 0) + s * t
-    return out
-
-
 def _exponents(c: list[list[Coeff]], weight_x: int, weight_y: int) -> list[list[int]]:
     """The rows of e with c_n = sum_{k | n} wt(k) * e_k, inverting c in place; e(0, 0) reads 0.
 
@@ -94,17 +84,16 @@ def _exponents(c: list[list[Coeff]], weight_x: int, weight_y: int) -> list[list[
             composite.update(range(p * p, length, p))
             for j in range((len(c) - 1) // p, -1, -1):
                 c[p * j][::p] = map(sub, c[p * j][::p], c[j])
-    rows, failed = [], []
-    for j, row in enumerate(c):
-        d0 = 0 if j else 1  # the first d with an exponent: the constant monomial has none
-        weights = range(weight_x * j + weight_y * d0, weight_x * j + weight_y * len(row), weight_y)
-        if any(map(mod, row[d0:], weights)):
-            failed += [(wt, d, j) for d, wt in enumerate(weights, d0) if row[d] % wt]
-        rows.append([0] * d0 + list(map(floordiv, row[d0:], weights)))
-    if failed:  # the first in (weight, d) order, where an inversion in that order stops
-        wt, d, j = min(failed)
+    spans = [range(weight_x * j, weight_x * j + weight_y * len(row), weight_y)
+             for j, row in enumerate(c)]
+    flat, weights = [*chain.from_iterable(c)], [*chain.from_iterable(spans)]  # c and wt, end to end
+    flat[0], weights[0] = 0, 1  # the constant monomial has no exponent
+    if any(map(mod, flat, weights)):  # the first in (weight, d) order: where a push form stops
+        wt, d, j = min((wt, d, j) for j, span in enumerate(spans)
+                       for d, wt in enumerate(span) if wt and c[j][d] % wt)
         raise NonIntegerExponent(f"exponent of monomial {(j, d)} is {c[j][d] / wt}")
-    return rows
+    quotients = [*map(floordiv, flat, weights)]
+    return [quotients[end - len(row) : end] for row, end in zip(c, accumulate(map(len, c)))]
 
 
 def _peel_rational(
@@ -112,22 +101,25 @@ def _peel_rational(
 ) -> list[list[int]]:
     """The rows of plain-product exponents of F = numerator / prod(factors), never expanding F.
 
-    The log-derivative of 1/F, sum_f E(f)/f - E(N)/N, is (N * E(D) - E(N) * D) / (N * D)
-    with D = prod(f), as E is a derivation: one sparse division, whose
-    product-of-inverses exponents are the plain-product exponents of F.
-    A nonzero exponent at d = 0 means F(x, 0) != 1, so F is no product
-    over positive depth, and raises NonIntegerExponent.
+    Every factor is a binomial 1 - x**a * y**b, whose one plain-product
+    exponent is 1 at (a, b); families add over products, so e(F) = e(N) -
+    sum_f [(a, b)].  e(N) are the product-of-inverses exponents of the
+    log-derivative of 1/N, -E(N)/N: one sparse division.  A nonzero
+    exponent at d = 0 means F(x, 0) != 1, so F is no product over positive
+    depth, and raises NonIntegerExponent; any other factor, ValueError.
     """
     if numerator.get((0, 0)) != 1:
         raise NonUnitConstant(f"constant term is {numerator.get((0, 0), 0)}, expected 1")
-    denominator = reduce(_times, factors, {(0, 0): 1})
-    top: dict[Monomial, Coeff] = {}
-    for (j, d), s in numerator.items():
-        for (k, e), t in denominator.items():
-            scale = weight_x * (k - j) + weight_y * (e - d)
-            top[j + k, d + e] = top.get((j + k, d + e), 0) + scale * s * t
-    c = _expand_rational(top, (numerator, *factors), weight_x, weight_y, max_weight)
+    monomials = [max(factor, default=(0, 0)) for factor in factors]  # (a, b) of 1 - x**a * y**b
+    for factor, (a, b) in zip(factors, monomials):
+        if len(factor) != 2 or factor.get((0, 0)) != 1 or factor[a, b] != -1 or min(a, b) < 0:
+            raise ValueError(f"each factor must be 1 - x**a * y**b, got {factor}")
+    top = {(j, d): -(weight_x * j + weight_y * d) * c for (j, d), c in numerator.items()}
+    c = _expand_rational(top, (numerator,), weight_x, weight_y, max_weight)
     exponents = _exponents(c, weight_x, weight_y)
+    for a, b in monomials:
+        if weight_x * a + weight_y * b <= max_weight:
+            exponents[a][b] -= 1
     if any(row[0] for row in exponents):
         raise NonIntegerExponent("a pure-x factor remains; F is not a product over positive depth")
     return exponents

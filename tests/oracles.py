@@ -8,8 +8,11 @@ products (`uni_mul`, `bi_mul`) and term-by-term inverses (`uni_inverse`,
 forward Euler product built from them (`product_oracle`), and the
 x = y**2 substitution (`substitute_x`).  `push_exponents` inverts a
 log-derivative grid monomial by monomial in weight order, the reference
-for the peel's ray-wise Moebius inversion.  A sum or product is valid
-exactly through the minimum truncation of its operands.
+for the peel's ray-wise Moebius inversion, and `peel_rational_reference`
+is the peel as first written, over the common denominator of the
+numerator and its factors (`times` multiplies them out), with a dense
+division.  A sum or product is valid exactly through the minimum
+truncation of its operands.
 The generator assemblies below use only these, so they are an
 independent reference for the division kernel; the multiset count uses
 no series at all.  `scaled_floats` keeps the series route's float
@@ -18,9 +21,10 @@ rescaling in the form it was first written.
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 from gfenum.series import BiSeries, UniSeries, _zero_rows
-from gfenum.transforms import NonIntegerExponent
+from gfenum.transforms import NonIntegerExponent, NonUnitConstant
 
 
 class WeightMismatch(ValueError):
@@ -285,6 +289,42 @@ def push_exponents(c, weight_x, weight_y):
         if e:
             exponents[j][d] = e
             add_to_multiples(divisor_sums, j, d, wt * e)
+    return exponents
+
+
+def times(a, b):
+    """The product of two sparse polynomials ``{(j, d): coeff}``."""
+    out = {}
+    for (j, d), s in a.items():
+        for (k, e), t in b.items():
+            out[j + k, d + e] = out.get((j + k, d + e), 0) + s * t
+    return out
+
+
+def peel_rational_reference(numerator, factors, weight_x, weight_y, max_weight):
+    """The plain-product exponent rows of F = numerator / prod(factors), as first written.
+
+    The log-derivative of 1/F, sum_f E(f)/f - E(N)/N, is
+    (N * E(D) - E(N) * D) / (N * D) with D = prod(f), as E is a
+    derivation; its product-of-inverses exponents are the plain-product
+    exponents of F.  The division is dense (`bi_mul` by each
+    `bi_inverse`) and the inversion is `push_exponents`, so no library
+    kernel runs, and any factor with constant term 1 is taken.
+    """
+    if numerator.get((0, 0)) != 1:
+        raise NonUnitConstant(f"constant term is {numerator.get((0, 0), 0)}, expected 1")
+    denominator = reduce(times, factors, {(0, 0): 1})
+    top = {}
+    for (j, d), s in numerator.items():
+        for (k, e), t in denominator.items():
+            scale = weight_x * (k - j) + weight_y * (e - d)
+            top[j + k, d + e] = top.get((j + k, d + e), 0) + scale * s * t
+    c = bi_from_terms(weight_x, weight_y, max_weight, top)
+    for divisor in (numerator, *factors):
+        c = bi_mul(c, bi_inverse(bi_from_terms(weight_x, weight_y, max_weight, divisor)))
+    exponents = push_exponents([list(row) for row in c.coeffs], weight_x, weight_y)
+    if any(row[0] for row in exponents):
+        raise NonIntegerExponent("a pure-x factor remains; F is not a product over positive depth")
     return exponents
 
 

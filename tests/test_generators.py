@@ -55,7 +55,7 @@ class TestBuildB:
         # row of the grid: (2-1) + (2-1) + (1-1)
         assert substitute_x(build_b(8))[5] == 2
 
-    @pytest.mark.parametrize("weight", [0, 1, 4, 7, 23, 50])
+    @pytest.mark.parametrize("weight", [0, 1, 4, 7, 23, 50, 80, 120])
     def test_matches_the_dense_assembly(self, weight):
         assert build_b(weight) == build_b_dense(weight)
 
@@ -271,6 +271,14 @@ def rational_data(draw):
     return numerator, factors, weight_x, weight_y, max_weight
 
 
+# factors for the row-skipping orders: 1 - y (running sums), 1 - y - y**4 (the lag loop),
+# 1 - x**3 and 1 - y - x**2
+Y1 = {(0, 0): 1, (0, 1): -1}
+Y14 = {(0, 0): 1, (0, 1): -1, (0, 4): -1}
+X3 = {(0, 0): 1, (3, 0): -1}
+COUPLING = {(0, 0): 1, (0, 1): -1, (2, 0): -1}
+
+
 class TestDivisionKernel:
     @given(rational_data())
     @settings(deadline=None)
@@ -323,6 +331,26 @@ class TestDivisionKernel:
     )
     def test_multi_term_factors_match_the_dense_inverse(self, grid, tail):
         self.test_single_term_factors_match_the_dense_inverse(grid, tail)
+
+    @pytest.mark.parametrize("grid", ["x2y1", "x2y3", "row"])
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            pytest.param([Y1, Y14, X3, COUPLING], id="y-only-first"),
+            pytest.param([X3, Y1, Y14], id="x-factor-first"),
+            pytest.param([Y1, X3, Y14], id="y-only-after-x"),
+        ],
+    )
+    def test_rows_past_the_numerator_wait_for_an_x_factor(self, grid, factors):
+        # y-only factors before the first x-factor divide rows 0-2 only
+        w = 24
+        wx, wy = {"x2y1": (2, 1), "x2y3": (2, 3), "row": (w + 1, 1)}[grid]
+        numerator = {(0, 0): 1, (0, 3): -2, (1, 1): 3, (2, 0): 1, (2, 2): -1}
+        expected = bi_from_terms(wx, wy, w, numerator)
+        for factor in factors:
+            expected = bi_mul(expected, bi_inverse(bi_from_terms(wx, wy, w, factor)))
+        rows = _expand_rational(numerator, factors, wx, wy, w)
+        assert BiSeries(wx, wy, w, rows) == expected
 
     def test_factors_must_have_unit_constant_term(self):
         for factor in ({(0, 0): 2, (0, 1): -1}, {(0, 1): -1}, {(0, 0): -1, (1, 0): 1}):

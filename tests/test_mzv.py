@@ -5,9 +5,10 @@ import pytest
 
 from gfenum import transforms
 from gfenum.mzv import (
+    _MZV_DENOMINATOR,
+    _MZV_NUMERATOR,
     DEPTH_DIAGONAL_CHECKED_MAX,
     CrossCheckError,
-    MzvCounts,
     _cross_check_diagonals,
     build_eul_rhs,
     build_mzv_rhs,
@@ -17,6 +18,7 @@ from gfenum.series import IndexOutOfRange
 from gfenum.transforms import (
     PRODUCT_PLAIN,
     NonIntegerExponent,
+    _peel_rational,
     euler_expand,
     peel_bi,
     peel_uni,
@@ -190,11 +192,23 @@ class TestConsistencyGuards:
         ids=["w5d1", "w10d2", "w13d3", "w6d2", "w11d3"],
     )
     def test_cross_check_rejects_a_corrupted_table(self, cell, message):
-        counts = mzv_counts(23)
-        broken = dict(counts.mzv)
-        broken[cell] += 1
+        # the check reads the zeta-value peel rows, D(w, d) at rows[(w - 3d) // 2][d]
+        rows = _peel_rational(_MZV_NUMERATOR, _MZV_DENOMINATOR, 2, 3, 23)
+        _cross_check_diagonals(rows, 23)
+        w, d = cell
+        rows[(w - 3 * d) // 2][d] += 1
         with pytest.raises(CrossCheckError, match=f"^{message}$"):
-            _cross_check_diagonals(MzvCounts(23, broken, counts.euler))
+            _cross_check_diagonals(rows, 23)
+
+    @pytest.mark.parametrize("weight", [23, 24])
+    @pytest.mark.parametrize("depth, message", [(1, "depth-1 count"), (2, "depth-2 count"),
+                                                (3, "depth-3 offset")])
+    def test_cross_check_reads_each_diagonal_to_the_weight_bound(self, weight, depth, message):
+        rows = _peel_rational(_MZV_NUMERATOR, _MZV_DENOMINATOR, 2, 3, weight)
+        last = weight - (weight - depth) % 2  # the last weight of that depth's diagonal
+        rows[(last - 3 * depth) // 2][depth] -= 1
+        with pytest.raises(CrossCheckError, match=f"^{message} at weight {last} is off$"):
+            _cross_check_diagonals(rows, weight)
 
     def test_fractional_input_propagates(self):
         series = bi_from_terms(2, 3, 9, {(0, 0): 1, (0, 1): Fraction(1, 2)})

@@ -30,6 +30,7 @@ from oracles import (
     bi_zero,
     multiset_oracle,
     add_to_multiples,
+    peel_rational_reference,
     product_oracle,
     push_exponents,
     uni_from_coeffs,
@@ -291,6 +292,24 @@ class TestPeelRational:
         with pytest.raises(NonUnitConstant):
             _peel_rational({(0, 0): 2, (0, 1): -1}, [], 2, 3, 9)
 
+    @pytest.mark.parametrize(
+        "factor",
+        [
+            {(0, 0): 1, (1, 0): -1, (0, 1): -1},  # a trinomial
+            {(0, 0): 1, (1, 1): 2},
+            {(0, 0): 1, (1, 1): 1},
+            {(0, 0): 2, (1, 0): -1},
+            {(1, 0): -1, (0, 1): 1},  # no constant term
+            {(0, 0): 1},
+            {},
+            {(0, 0): 1, (0, -1): -1},
+            {(0, 0): 1, (-1, 2): -1},
+        ],
+    )
+    def test_a_factor_other_than_a_binomial_is_rejected(self, factor):
+        with pytest.raises(ValueError, match=r"^each factor must be 1 - x\*\*a \* y\*\*b"):
+            _peel_rational({(0, 0): 1, (0, 1): -1}, [{(0, 0): 1, (1, 0): -1}, factor], 2, 3, 9)
+
 
 # the weighted grids the peel runs on: mzv's, one of weight (2, 1), and peel_uni's one row
 GRIDS = [
@@ -319,6 +338,58 @@ def product_grid(weight_x, weight_y, max_weight, data):
         exponents[j][d] = data.draw(st.integers(-5, 5))
         add_to_multiples(c, j, d, (weight_x * j + weight_y * d) * exponents[j][d])
     return exponents, c, cells
+
+
+def peel_outcome(peel, *args):
+    """`outcome`, naming only the monomial of a NonIntegerExponent.
+
+    The value printed for that monomial may differ by an integer between the
+    two forms, when the monomial is also a factor's.
+    """
+    result = outcome(peel, *args)
+    if isinstance(result, tuple) and result[1].startswith("exponent"):
+        return result[0], result[1].split(" is ")[0]
+    return result
+
+
+# binomials 1 - x**a * y**b, pure x and of positive depth, some past any weight bound drawn
+BINOMIALS = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(any), max_size=3)
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+class TestNumeratorAlonePeel:
+    """e(N / prod(f)) = e(N) - sum_f [(a, b)] against the peel over the common denominator."""
+
+    def check(self, numerator, monomials, *grid):
+        args = numerator, [{(0, 0): 1, ab: -1} for ab in monomials], *grid
+        assert peel_outcome(_peel_rational, *args) == peel_outcome(peel_rational_reference, *args)
+
+    @given(st.integers(0, 16), st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_binomial_factors_peel_alike(self, grid, size, data):
+        weight_x, weight_y, max_weight = grid(size)
+        cells = [(j, d) for j, row in enumerate(_zero_rows(weight_x, weight_y, max_weight))
+                 for d in range(len(row)) if j or d]
+        terms = {}
+        if cells:
+            terms = data.draw(st.dictionaries(st.sampled_from(cells), COEFFS, max_size=6))
+        numerator = {(0, 0): data.draw(st.sampled_from([1, 1, Fraction(1), 2])), **terms}
+        self.check(numerator, data.draw(BINOMIALS), weight_x, weight_y, max_weight)
+
+    @given(st.integers(0, 16), st.data())
+    @settings(deadline=None, max_examples=30)
+    def test_a_product_with_binomials_split_off_peels_alike(self, grid, size, data):
+        # N a product of binomials, so no exponent is fractional
+        weight_x, weight_y, max_weight = grid(size)
+        exponents = {ab: data.draw(st.integers(-3, 3)) for ab in data.draw(BINOMIALS)}
+        product = product_oracle(exponents, weight_x, weight_y, max_weight, SIGN[PRODUCT_PLAIN])
+        numerator = {(j, d): c for j, d, c in product.nonzero_terms()}
+        self.check(numerator, data.draw(BINOMIALS), weight_x, weight_y, max_weight)
+
+
+def test_the_constant_cell_has_no_exponent():
+    # a grid too short for any prime pass: c(0, 0) is ignored, not divided by weight 0
+    assert _exponents([[7, 3]], 4, 3) == [[0, 1]]
 
 
 @pytest.mark.parametrize("grid", GRIDS)
