@@ -8,7 +8,10 @@ The primitive gap series has a simple pole at y = 1/r inside the unit
 disk, where r is the real root of r**4 = r**3 + 1 in (1, 2).  The ratio
 P_m / r**m therefore tends to a finite constant, computed here two ways:
 analytically from the closed rational form, and by extrapolating exact
-series partial sums toward the pole, streamed in O(terms) memory and not cached.
+series partial sums toward the pole.  The partial sums come from the split
+of the closed form into its pole part and a periodic cubic part: the pole
+part is jumped ahead to the last term and walked back, so they take O(1)
+memory and no cache.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
-from typing import Iterable, Iterator
+from itertools import accumulate
+from operator import mul
 
-from .generators import _P_FACTORS, _P_NUMERATOR, _expand_uni, primitive_counts
+from .generators import _P_FACTORS, _P_NUMERATOR, primitive_counts
 from .series import _Frozen
 
 
@@ -63,43 +67,39 @@ def growth_constant() -> float:
     return numerator * vanishing_limit / plain_factors
 
 
-def _gap_coeffs(terms: int) -> Iterator[int]:
-    """p_closed(terms)'s coefficients in order: the kernel divides by the first four factors
-    (below 2**37 at 20,000 terms), then 1 - y - y**4 is its lag loop on a window of four."""
-    c1 = c2 = c3 = c4 = 0
-    for x in _expand_uni(_P_NUMERATOR, _P_FACTORS[:4], terms).coeffs:
-        c1, c2, c3, c4 = x + c1 + c4, c1, c2, c3  # c_m = x_m + c_{m-1} + c_{m-4}
-        yield c1
+# The gap series split at its pole: for m >= 2, 49 * (P_m - 1) = a_m + e_m.  The pole part
+# a_m = [y**m] 49A/(1 - y - y**4) has 49A = 51 + 16y + 46y**2 + 22y**3; the periodic part
+# is 72 * e_m = 49m**3 - 490m**2 + b*m + g with (g, b) = _PERIODIC[m % 6].
+_POLE = (51, 16, 46, 22)
+_PERIODIC = ((-7200, 336), (-8534, 623), (-7296, 364), (-8082, 483), (-7064, 476), (-7590, 511))
 
 
-def _scaled_floats(coeffs: Iterable[int], scale: float) -> list[float]:
-    """c_m * scale**m as floats, via exponent bookkeeping, reading coeffs once in order.
+def _pole_window(top: int) -> tuple[int, int, int, int]:
+    """(a_top, a_{top-1}, a_{top-2}, a_{top-3}) in O(log top) big-integer products.
 
-    The raw coefficients overflow float far before the truncations used
-    here, but c_m * scale**m stays bounded when scale * r < 1, so each
-    term is assembled from a 64-bit mantissa and a power-of-two exponent.
-    That rounds twice: the shift cuts c_m to its top 64 bits and float()
-    rounds those to 53, so where the cut bits hold a tie the mantissa can
-    end one ulp from c_m rounded once (2**64 + 2**11 + 1 gives 2**64, not
-    2**64 + 2**12).  The pinned bits of the series route depend on this
-    rounding.
+    a_m = a_{m-1} + a_{m-4}, so a_{n+k} is the map z**i -> a_{i+k} applied to
+    z**n mod z**4 - z**3 - 1 (Fiduccia), taken here by square-and-multiply.
     """
-    log2_scale = math.log2(scale)
-    floor, ldexp = math.floor, math.ldexp
-    out = []
-    for m, c in enumerate(coeffs):  # c = 0 gives ldexp(0.0, whole) == 0.0
-        bits = c.bit_length()
-        shift = bits - 64 if bits > 64 else 0
-        exponent = shift + m * log2_scale
-        whole = floor(exponent)
-        out.append(ldexp(float(c >> shift) * 2.0 ** (exponent - whole), whole))
-    return out
+    p = (1, 0, 0, 0)
+    for bit in bin(top)[2:]:
+        p0, p1, p2, p3 = p  # p**2, its z**4..z**6 folded down by z**4 = z**3 + 1
+        q4, q5, q6 = 2 * p1 * p3 + p2 * p2, 2 * p2 * p3, p3 * p3
+        p = (p0 * p0 + q4 + q5 + q6, 2 * p0 * p1 + q5 + q6, 2 * p0 * p2 + p1 * p1 + q6,
+             2 * (p0 * p3 + p1 * p2) + q4 + q5 + q6)
+        if bit == "1":
+            p = (p[3], p[0], p[1], p[2] + p[3])
+    # a_{-3} .. a_3: run backward, a_{k-4} = a_k - a_{k-1} = 49A_k for k = 1, 2, 3
+    lead = (*_POLE[1:], *accumulate(_POLE))
+    return tuple(sum(map(mul, p, lead[k : k + 4])) for k in (3, 2, 1, 0))
 
 
 _MAX_OFFSET = 0.08
 _NODE_RATIO = 0.65
 _NODES = 10
 _MAX_TAIL = 1e-6
+_SCALE = 0.70  # any value below 1/r keeps the rescaled sweep bounded
+_EXACT_BELOW = 328  # from here on 0 <= e_m < 2**(bits(a_m) - 134)
+_GUARD = (1 << 64) - 1
 
 
 def growth_constant_from_series(terms: int = 14000) -> float:
@@ -113,27 +113,58 @@ def growth_constant_from_series(terms: int = 14000) -> float:
     (1 - r*t_min)**terms at the smallest offset t_min = 0.08 * 0.65**9
     (measured: 1.2e-5 at 6,034 terms, 1.3e-7 at 8,000, 4.8e-12 at
     14,000).  ValueError is raised when that bound exceeds 1e-6, that is
-    for ``terms`` below 6,034.  Partial sums are evaluated by a Horner
-    scheme rescaled so nothing overflows double precision.  The exact
-    coefficients are streamed, not kept: O(terms) memory (1.5 MiB peak at
-    20,000), no use of p_closed's cache, and a repeat call costs a cold one.
+    for ``terms`` below 6,034.
+
+    The ten partial sums run side by side as Horner chains from the last
+    term down.  Term m is c_m = P_m - 1 = (a_m + e_m) / 49 for m >= 2,
+    scaled by 0.7**m so nothing overflows: its top 64 bits, rounded to a
+    double, times a power of two.  That rounds twice, and the pinned bits
+    depend on it (2**64 + 2**11 + 1 gives 2**64, not 2**64 + 2**12).
+    a_m is jumped ahead to m = ``terms`` and walked back by
+    a_{m-4} = a_m - a_{m-1}.  From m = 328 on, 0 <= e_m < 2**t for
+    t = bits(a_m) - 134, so e_m carries at most one into bit t of a_m;
+    unless a_m's 64 bits from bit t are all ones, c_m's top bits are
+    a_m's top 70 bits floored by 49.  Other terms take c_m exactly.  The
+    route holds a few numbers (a 20 KiB tracemalloc peak at 20,000
+    terms), fills no cache, and a repeat call costs a cold one.
     """
     r = growth_root()
     offsets = [_MAX_OFFSET * _NODE_RATIO ** i for i in range(_NODES)]
     tail = (1.0 - r * offsets[-1]) ** terms
     if tail > _MAX_TAIL:
         raise ValueError(f"terms={terms} leaves a series tail bound of {tail:.4g} > {_MAX_TAIL:g}")
-    scale = 0.70  # any value below 1/r keeps the rescaled sweep bounded
-    coeffs = _scaled_floats(_gap_coeffs(terms), scale)
-    values = []
-    for t in offsets:
-        y = 1.0 / r - t
-        growth = y / scale
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * growth + c
-        values.append((1.0 - r * y) * acc)
-    table = list(values)
+    scale, exact_below, guard = _SCALE, _EXACT_BELOW, _GUARD
+    log2_scale = math.log2(scale)
+    floor, ldexp = math.floor, math.ldexp
+    g0, g1, g2, g3, g4, g5, g6, g7, g8, g9 = [(1.0 / r - t) / scale for t in offsets]
+    h0 = h1 = h2 = h3 = h4 = h5 = h6 = h7 = h8 = h9 = 0.0
+    a, a1, a2, a3 = _pole_window(terms)
+    for m in range(terms, -1, -1):
+        if m >= exact_below and (w := a >> (t := a.bit_length() - 134)) & guard != guard:
+            top, shift = (w >> 64) // 49, t + 64
+            if top >> 64:
+                top, shift = top >> 1, shift + 1
+        else:
+            g, b = _PERIODIC[m % 6]
+            c = (a + (((49 * m - 490) * m + b) * m + g) // 72) // 49 if m > 1 else 0
+            shift = max(c.bit_length() - 64, 0)
+            top = c >> shift
+        exponent = shift + m * log2_scale
+        whole = floor(exponent)
+        s = ldexp(float(top) * 2.0 ** (exponent - whole), whole)
+        h0 = h0 * g0 + s
+        h1 = h1 * g1 + s
+        h2 = h2 * g2 + s
+        h3 = h3 * g3 + s
+        h4 = h4 * g4 + s
+        h5 = h5 * g5 + s
+        h6 = h6 * g6 + s
+        h7 = h7 * g7 + s
+        h8 = h8 * g8 + s
+        h9 = h9 * g9 + s
+        a, a1, a2, a3 = a1, a2, a3, a - a1
+    sums = (h0, h1, h2, h3, h4, h5, h6, h7, h8, h9)
+    table = [(1.0 - r * (1.0 / r - t)) * h for t, h in zip(offsets, sums)]
     for level in range(1, _NODES):
         for i in range(_NODES - level):
             t_lo, t_hi = offsets[i], offsets[i + level]

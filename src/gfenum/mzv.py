@@ -123,10 +123,17 @@ class _PrefixItems(ItemsView):
         return self._mapping._walk(dict.items)
 
 
+def _grid(max_weight: int) -> list[tuple[int, int]]:
+    """The (w, d) points with d >= 1 and w = 2j + 3d <= max_weight, weight-major."""
+    return [(w, d) for w in range(3, max_weight + 1) for d in range(2 - w % 2, w // 3 + 1, 2)]
+
+
 def _read_only(table: Mapping[tuple[int, int], int], bound: int) -> _WeightPrefix:
-    """A view as given, or a view over a copy of any other mapping, in its own order."""
+    """A view as given, or a view over a copy of any other mapping, keyed by the grid in order."""
     if type(table) is _WeightPrefix:
         return table
+    if list(table) != _grid(bound):
+        raise ValueError(f"a table's keys must be the (w, d) grid through weight {bound}, in order")
     return _WeightPrefix(dict(table), bound, len(table))
 
 
@@ -137,7 +144,8 @@ class MzvCounts(_Frozen):
     counts.  Zero entries are stored too: a vanishing count is data.  Both
     are read-only mappings over the grid keys in increasing (w, d) order: a
     cut views the same prefix of the largest expansion's two dicts and
-    copies nothing, and a table given as any other mapping is copied.  The
+    copies nothing.  A table given as any other mapping must hold exactly
+    the grid keys in that order, else ValueError, and is copied.  The
     two tables first differ at weight 12, at depth 2 (D = 1, M = 2) and at
     depth 4 (D = 1, M = 0), and the two differences cancel: forgetting
     depth (x = X**2, y = X**3, where y**2 - x**3 vanishes) turns both
@@ -190,12 +198,13 @@ def mzv_counts(max_weight: int) -> MzvCounts:
     shallow-depth diagonals against their pseudopolynomial forms and raise
     CrossCheckError on any mismatch.
     """
-    grid = [(w, d) for w in range(3, max_weight + 1) for d in range(2 - w % 2, w // 3 + 1, 2)]
+    grid = _grid(max_weight)
     rows_mzv = _peel_rational(_MZV_NUMERATOR, _MZV_DENOMINATOR, 2, 3, max_weight)
     _cross_check_diagonals(rows_mzv, max_weight)
     rows_eul = _peel_rational(_EUL_NUMERATOR, _EUL_DENOMINATOR, 2, 3, max_weight)
     mzv, euler = (  # keyed (w, d) weight-major, so a cut is a prefix
-        {(w, d): rows[(w - 3 * d) // 2][d] for w, d in grid} for rows in (rows_mzv, rows_eul)
+        _WeightPrefix({(w, d): rows[(w - 3 * d) // 2][d] for w, d in grid}, max_weight, len(grid))
+        for rows in (rows_mzv, rows_eul)
     )
     return MzvCounts(max_weight, mzv, euler)
 

@@ -16,7 +16,9 @@ truncation of its operands.
 The generator assemblies below use only these, so they are an
 independent reference for the division kernel; the multiset count uses
 no series at all.  `scaled_floats` keeps the series route's float
-rescaling in the form it was first written.
+rescaling in the form it was first written, and `series_constant` the
+whole route over a stored coefficient row: ten Horner passes, one per
+offset, then Neville extrapolation.
 """
 
 import math
@@ -441,3 +443,27 @@ def scaled_floats(coeffs, scale):
         whole = math.floor(exponent)
         out.append(math.ldexp(mantissa * 2.0 ** (exponent - whole), whole))
     return out
+
+
+def series_constant(coeffs, r):
+    """growth_constant_from_series in its first form, from the gap coefficients c_0 .. c_T.
+
+    The rescaled floats are stored, each offset y = 1/r - 0.08 * 0.65**i, i < 10, runs its own
+    Horner pass over them, and Neville's scheme extrapolates the ten values to offset 0.
+    """
+    offsets = [0.08 * 0.65 ** i for i in range(10)]
+    scale = 0.70
+    floats = scaled_floats(coeffs, scale)
+    table = []
+    for t in offsets:
+        y = 1.0 / r - t
+        growth = y / scale
+        acc = 0.0
+        for c in reversed(floats):
+            acc = acc * growth + c
+        table.append((1.0 - r * y) * acc)
+    for level in range(1, 10):
+        for i in range(10 - level):
+            t_lo, t_hi = offsets[i], offsets[i + level]
+            table[i] = (t_lo * table[i + 1] - t_hi * table[i]) / (t_lo - t_hi)
+    return table[0]

@@ -1,15 +1,20 @@
 import math
-import operator
+import random
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gfenum import asymptotics
 from gfenum.asymptotics import (
-    _gap_coeffs,
-    _scaled_floats,
+    _EXACT_BELOW,
+    _PERIODIC,
+    _POLE,
+    _pole_window,
     asymptotic_report,
     growth_constant,
     growth_constant_from_series,
@@ -17,10 +22,58 @@ from gfenum.asymptotics import (
     max_ratio_degree,
     ratio_table,
 )
-from gfenum.generators import _P_FACTORS, _P_NUMERATOR, _one_minus, p_closed, primitive_counts
+from gfenum.generators import _P_FACTORS, _P_NUMERATOR, p_closed, primitive_counts
 
 from literals import GROWTH_CONSTANT, GROWTH_ROOT
-from oracles import scaled_floats, uni_from_terms, uni_inverse, uni_mul
+from oracles import scaled_floats, series_constant, uni_from_terms, uni_inverse, uni_mul
+
+
+@pytest.fixture(scope="module")
+def gaps():
+    """c_0 .. c_20001 of the closed form, expanded apart from p_closed's cache."""
+    return p_closed.__wrapped__(20001).coeffs
+
+
+def _pole_part(size):
+    """a_0 .. a_size by the forward recurrence a_m = a_{m-1} + a_{m-4}, from the pole data."""
+    a = list(accumulate(_POLE))
+    for m in range(4, size + 1):
+        a.append(a[m - 1] + a[m - 4])
+    return a[: size + 1]
+
+
+def _periodic_part(m):
+    """e_m, where 72 * e_m = 49m**3 - 490m**2 + b*m + g, (g, b) = _PERIODIC[m % 6], exactly."""
+    g, b = _PERIODIC[m % 6]
+    e, rest = divmod(49 * m ** 3 - 490 * m ** 2 + b * m + g, 72)
+    assert rest == 0, m
+    return e
+
+
+def _traced_route(terms):
+    """The route's value and its scaled terms in increasing m, as its math.ldexp returns them."""
+    seen = []
+
+    def ldexp(x, i):
+        seen.append(math.ldexp(x, i))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        spy = SimpleNamespace(log2=math.log2, floor=math.floor, ldexp=ldexp)
+        patch.setattr(asymptotics, "math", spy)
+        try:
+            value = growth_constant_from_series(terms)
+        except OverflowError as exc:
+            return type(exc), None
+    return value, [x.hex() for x in reversed(seen)]
+
+
+def _rescaled(coeffs, scale):
+    """The hex of every rescaled float, or the exception when one is past the float range."""
+    try:
+        return [x.hex() for x in scaled_floats(coeffs, scale)]
+    except OverflowError as exc:
+        return type(exc)
 
 
 class TestGrowthRoot:
@@ -105,14 +158,6 @@ class TestGrowthConstant:
         ]
         assert wrong == []
 
-    def test_gap_stream_matches_the_closed_expansion(self):
-        # the window hard-codes the last factor's lags; a reordered _P_FACTORS must fail here
-        assert _P_FACTORS[-1] == _one_minus(1, 4)
-        for n in range(9):  # the window's start-up; p_closed starts at max_m = 1
-            assert tuple(_gap_coeffs(n)) == p_closed(8).coeffs[: n + 1]
-        for n in (40, 2000):
-            assert tuple(_gap_coeffs(n)) == p_closed(n).coeffs
-
     def test_series_route_holds_no_expansion_and_fills_no_cache(self):
         # the whole 20,000-term expansion is 13.2 MiB of big integers
         growth_root()
@@ -123,7 +168,7 @@ class TestGrowthConstant:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2 ** 20
+        assert peak < 64 * 2 ** 10  # measured: 20 KiB
         assert p_closed.cache_info().currsize == 0
 
     @pytest.mark.parametrize(
@@ -139,39 +184,100 @@ class TestGrowthConstant:
         assert growth_constant_from_series(terms).hex() == bits
 
 
-def _bits(n):
-    return st.integers(2 ** (n - 1), 2 ** n - 1)
+_RANDOM_TERMS = random.Random(29).sample(range(6034, 20002), 3)
 
 
-_MAGNITUDE = st.one_of(
-    st.just(0), st.integers(1, 2 ** 62), _bits(63), _bits(64), _bits(65), _bits(1025),
-    st.integers(2 ** 1025, 2 ** 3000),
-)
+class TestPoleSplit:
+    def test_split_matches_the_closed_expansion(self, gaps):
+        # 49 * c_m = a_m + e_m: the pole part A/Q and the periodic part over
+        # (1-y)(1-y**2)(1-y**3)(1-y**6) of the closed form, from m = 2 on
+        a = _pole_part(20000)
+        assert gaps[0] == gaps[1] == 0
+        assert [m for m in range(2, 20001) if 49 * gaps[m] != a[m] + _periodic_part(m)] == []
 
+    @pytest.mark.parametrize("top", [*range(9), _EXACT_BELOW, 455, 6034, 20000])
+    def test_pole_window_matches_the_forward_recurrence(self, top):
+        # below 3 the window reaches a_{-1} .. a_{-3}, the recurrence run backward
+        a = _pole_part(max(top, 3))
+        before = [a[3] - a[2], a[2] - a[1], a[1] - a[0]]
+        extended = before[::-1] + a
+        assert _pole_window(top) == tuple(extended[top + 3 - k] for k in range(4))
 
-def _rescaled(scale_floats, coeffs, scale):
-    """The hex of every rescaled float, or the exception when one is past the float range."""
-    try:
-        return [x.hex() for x in scale_floats(coeffs, scale)]
-    except OverflowError as exc:
-        return type(exc)
+    def test_periodic_part_is_nonnegative_from_eleven(self):
+        """e_m < 0 exactly for 2 <= m <= 10.
+
+        72 * e_m = 49m**2 (m - 10) + b*m + g, and every b >= 336 and g >= -8534,
+        so from m = 11 on it is at least 49m**2 + 336m - 8534 >= 1091.
+        """
+        assert [m for m in range(2, 2000) if _periodic_part(m) < 0] == list(range(2, 11))
+        assert min(b for _, b in _PERIODIC) == 336 and min(g for g, _ in _PERIODIC) == -8534
+
+    def test_window_bound_holds_from_the_threshold(self):
+        """0 <= e_m < 2**t with t = bits(a_m) - 134 for every m >= _EXACT_BELOW, not at one less.
+
+        Checked directly through m = 2,000.  Beyond, by growth: e_m < m**3, as
+        72 * e_m <= 49m**3 - 490m**2 + 623m; a_m >= 2 a_{m-4}, as a increases, so
+        t gains at least one every four steps; and (m + 4)**3 < 2 m**3 from m = 16
+        on.  So m**3 <= 2**t at four consecutive m >= 16 holds at every later m.
+        """
+        a = _pole_part(2000)
+
+        def bound(m):
+            return 1 << (a[m].bit_length() - 134)
+
+        assert not 0 <= _periodic_part(_EXACT_BELOW - 1) < bound(_EXACT_BELOW - 1)
+        assert all(0 <= _periodic_part(m) < bound(m) for m in range(_EXACT_BELOW, 2001))
+        assert all(m ** 3 <= bound(m) for m in range(1997, 2001))
+        assert max(b for _, b in _PERIODIC) == 623 and max(g for g, _ in _PERIODIC) < 0
+
+    @pytest.mark.parametrize("terms", [6034, 6035, 8000, 14000, 20000, 20001, *_RANDOM_TERMS])
+    def test_route_matches_the_first_form(self, gaps, terms):
+        # term by term too: at 20,000 terms one term in all of them, m = 16,701,
+        # shows the 65-bit quotient cut to 64 bits before it is rounded
+        value, seen = _traced_route(terms)
+        assert value.hex() == series_constant(gaps[: terms + 1], growth_root()).hex()
+        assert seen == _rescaled(gaps[: terms + 1], 0.70)
+
+    @pytest.mark.parametrize(
+        "guard, fewest, most",
+        [(asymptotics._GUARD, _EXACT_BELOW, _EXACT_BELOW), (0, 6035, 6035), (1, _EXACT_BELOW + 1, 6034)],
+    )
+    def test_an_all_ones_guard_takes_the_exact_path(self, gaps, guard, fewest, most):
+        # A guard of 0 reads as all ones at every term, so every term is cut from c_m
+        # computed exactly; a guard of 1 does so wherever bit t of a_m is set.  The
+        # exact path reads _PERIODIC once per term; the fast path never does.
+        a = _pole_part(6034)
+        exact = [m for m in range(6034, -1, -1) if m < _EXACT_BELOW
+                 or (a[m] >> (a[m].bit_length() - 134)) & guard == guard]
+        read = []
+
+        class Periodic(tuple):
+            def __getitem__(self, i):
+                read.append(i)
+                return tuple.__getitem__(self, i)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(asymptotics, "_GUARD", guard)
+            patch.setattr(asymptotics, "_PERIODIC", Periodic(_PERIODIC))
+            value, terms = _traced_route(6034)
+        assert read == [m % 6 for m in exact] and fewest <= len(read) <= most
+        assert terms == _rescaled(gaps[:6035], 0.70)
+        assert value.hex() == "0x1.100621b2770b5p+0"
 
 
 class TestScaledFloats:
-    @given(
-        st.lists(st.builds(operator.mul, _MAGNITUDE, st.sampled_from([1, -1])), max_size=40),
-        st.floats(2.0 ** -60, 0.99),
-    )
-    @example((0,) * 30 + (2 ** 1100 + 12345, -(2 ** 1030), 2 ** 64 - 1, 0, -(2 ** 63)), 2.0 ** -10)
-    # 65 bits whose cut to 64 (then 63) bits rounds to a different double than one bit more
-    @example((2 ** 64 + 2 ** 11 + 1, 2 ** 64 + 2 ** 11 + 2), 0.5)
+    @given(st.integers(6034, 8000), st.floats(2.0 ** -60, 0.99))
+    @example(6034, 0.70)
+    @example(8000, 2.0 ** -10)
     @settings(deadline=None)
-    def test_matches_the_first_form_bit_for_bit(self, coeffs, scale):
-        coeffs = tuple(coeffs)
-        expected = _rescaled(scaled_floats, coeffs, scale)
-        assert _rescaled(_scaled_floats, coeffs, scale) == expected
-        # the series route passes a one-shot generator, not a tuple
-        assert _rescaled(_scaled_floats, iter(coeffs), scale) == expected
+    def test_route_terms_match_the_first_form_bit_for_bit(self, gaps, terms, scale):
+        # every rescaled term of the route, read at its math.ldexp, against the first form;
+        # from about scale 0.7245 = 1/r on, both run past the float range
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(asymptotics, "_SCALE", scale)
+            value, seen = _traced_route(terms)
+        expected = _rescaled(gaps[: terms + 1], scale)
+        assert (value if expected is OverflowError else seen) == expected
 
 
 class TestConvergence:
@@ -206,7 +312,7 @@ class TestConvergence:
         # of period 6, so their 6-step fourth differences vanish.  A/Q gives
         # C * r**m plus terms from the other roots of Q, which decay, so the
         # criterion-9 gap P_40/r**40 - C is (1 + q(40))/r**40 up to those.
-        numerator = {0: 51, 1: 16, 2: 46, 3: 22}  # A = (22y**3 + 46y**2 + 16y + 51)/49
+        numerator = dict(enumerate(_POLE))  # 49A, A = (22y**3 + 46y**2 + 16y + 51)/49
         size = 70
         a: list[Fraction] = []
         for m in range(size + 1):

@@ -270,6 +270,29 @@ def test_a_table_given_as_a_plain_mapping_is_copied():
     assert counts.truncate(3) == counts and counts.truncate(2).grid() == []
 
 
+# The grid keys through weight 9, weight-major: the only keys a plain table may hold
+GRID_9 = [(3, 1), (5, 1), (6, 2), (7, 1), (8, 2), (9, 1), (9, 3)]
+
+
+@pytest.mark.parametrize("max_weight, keys", [
+    (5, [(3, 1), (9, 3)]),  # past the bound: the view listed (9, 3) but could not read it
+    (9, [(9, 3), (3, 1)]),  # out of order and short: a cut to 5 kept (9, 3)
+    (9, GRID_9[::-1]),
+    (9, GRID_9[:-1]),
+    (9, GRID_9 + [(10, 2)]),
+    (4, [(3, 1), (4, 2)]),
+])
+def test_a_plain_mapping_must_hold_exactly_the_grid_in_order(max_weight, keys):
+    mzv_counts.cache_clear()
+    assert mzv_counts(9).grid() == GRID_9
+    table, grid = dict.fromkeys(keys, 7), {key: 1 for key in GRID_9 if key[0] <= max_weight}
+    for mzv, euler in ((table, grid), (grid, table)):
+        with pytest.raises(ValueError, match=r"the \(w, d\) grid through weight"):
+            MzvCounts(max_weight, mzv, euler)
+    counts = MzvCounts(max_weight, grid, grid)
+    assert counts.grid() == list(grid) and counts.truncate(4).grid() == GRID_9[:1]
+
+
 # Each grown cache, with the attempts to change a value it serves in place
 MUTATIONS = [
     pytest.param(build_b, 0, lambda b: [
