@@ -19,9 +19,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "series": ("BiSeries", "IndexOutOfRange", "UniSeries"),
     "generators": (
-        "BetaTable", "UnsupportedColumn", "UnsupportedDiagonal", "beta_table", "build_b",
-        "floor_formula_col0", "floor_formula_diag1", "floor_formula_diag2", "g_series",
-        "h_series", "p_closed", "p_from_b", "primitive_counts",
+        "BetaTable", "UnsupportedDiagonal", "beta_table", "build_b", "floor_formula_col0",
+        "floor_formula_diag1", "floor_formula_diag2", "g_series", "p_closed", "p_from_b",
+        "primitive_counts",
     ),
     "transforms": (
         "PRODUCT_OF_INVERSES", "PRODUCT_PLAIN", "NegativeExponent", "NonIntegerExponent",

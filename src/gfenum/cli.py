@@ -17,6 +17,7 @@ those, and the error types are imported only once an exception reaches
 from __future__ import annotations
 
 import argparse
+import re  # loaded by argparse already
 import sys
 
 from . import __version__
@@ -91,13 +92,12 @@ def _mzv_handler(args) -> OutputTable:
     counts = mzv_counts(args.max_weight)
     euler_sums = args.euler_sums
     column = "M" if euler_sums else "D"
-    lookup = counts.euler_count if euler_sums else counts.mzv_count
     rows: list[list[Cell]] = []
-    for w, d in counts.grid():
+    for (w, d), count in (counts.euler if euler_sums else counts.mzv).items():
         note = ""
         if not euler_sums and w == 3 * d and d > DEPTH_DIAGONAL_CHECKED_MAX:
             note = "extrapolated beyond checked range"
-        rows.append([w, d, lookup(w, d), note])
+        rows.append([w, d, count, note])
     return OutputTable(["w", "d", column, "note"], rows)
 
 
@@ -151,15 +151,22 @@ _COMMANDS = {
 
 
 def _size_in(minimum: int, maximum):
-    """An argparse type: an integer size in [minimum, maximum], a maximum int or its function."""
+    """An argparse type: an integer size in [minimum, maximum], a maximum int or its function.
+
+    A size is written as the reference file writes an integer: ASCII digits with an optional
+    minus sign, and nothing else.
+    """
 
     def size(text: str) -> int:
-        if int(text) < minimum:
+        if not re.fullmatch(r"-?[0-9]+", text):
+            raise ValueError(text)  # argparse reports it as an invalid size value
+        value = int(text)
+        if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}")
         limit = maximum() if callable(maximum) else maximum
-        if int(text) > limit:
+        if value > limit:
             raise argparse.ArgumentTypeError(f"must be <= {limit}")
-        return int(text)
+        return value
 
     return size
 

@@ -33,10 +33,6 @@ class UnsupportedDiagonal(ValueError):
     """No closed form is available for diagonals beyond the sixth."""
 
 
-class UnsupportedColumn(ValueError):
-    """No closed form is available for columns beyond the fourth."""
-
-
 Poly = Mapping[int, int]
 Terms = Mapping[tuple[int, int], int]  # {(j, d): coeff} for monomials x**j * y**d
 
@@ -288,14 +284,6 @@ def g_series(k: int, trunc_order: int) -> UniSeries:
         for a, degrees in _DIAGONALS[k]
     ]
     return UniSeries(trunc_order, tuple(map(sum, zip(*rows))))
-
-
-def h_series(j: int, trunc_order: int) -> UniSeries:
-    """Column generator: coefficient k is beta(2j + k, 2j) - 1, for j <= 3."""
-    if not 0 <= j <= 3:
-        raise UnsupportedColumn(f"no closed form for column j={j}")
-    numerator = ({4: 1}, {3: 1}, {2: 1, 3: 1}, {1: 1, 2: 1, 3: 1, 4: 1})[j]
-    return _expand_uni(numerator, map(_one_minus, (1, 2, 3)), trunc_order)
 
 
 def floor_formula_diag1(j: int) -> int:

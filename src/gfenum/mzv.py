@@ -14,9 +14,11 @@ output.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Iterator, KeysView, Mapping, ValuesView
+from collections.abc import Mapping
+from functools import cached_property
 from itertools import islice, repeat
 from operator import eq, itemgetter, sub
+from types import MappingProxyType
 
 from .generators import _expand_rational, _grown, g_series
 from .series import BiSeries, IndexOutOfRange, _Frozen
@@ -60,81 +62,9 @@ def build_eul_rhs(max_weight: int) -> BiSeries:
     return BiSeries(2, 3, max_weight, rows)
 
 
-class _WeightPrefix(Mapping):
-    """A read-only view of the first ``size`` entries of a (w, d)-keyed dict in weight-major order.
-
-    Those are the entries with w <= ``bound``, so a lookup is one probe of the backing dict
-    and a weight test, and a key past the prefix, off the grid or not a pair reads as absent.
-    Iteration, ``keys``, ``values`` and ``items`` walk the backing dict at C speed.
-    """
-
-    __slots__ = ("_table", "_bound", "_size")
-
-    def __init__(self, table: dict[tuple[int, int], int], bound: int, size: int) -> None:
-        self._table, self._bound, self._size = table, bound, size
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        value = self._table[key]  # every key of the backing dict is a (w, d) pair
-        if key[0] > self._bound:
-            raise KeyError(key)
-        return value
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return islice(self._table, self._size)
-
-    def _walk(self, view) -> Iterator:
-        """The prefix of one of the backing dict's views, such as dict.items."""
-        return islice(view(self._table), self._size)
-
-    def keys(self) -> KeysView:
-        return _PrefixKeys(self)
-
-    def values(self) -> ValuesView:
-        return _PrefixValues(self)
-
-    def items(self) -> ItemsView:
-        return _PrefixItems(self)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
-
-
-class _PrefixKeys(KeysView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return iter(self._mapping)
-
-
-class _PrefixValues(ValuesView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return self._mapping._walk(dict.values)
-
-
-class _PrefixItems(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return self._mapping._walk(dict.items)
-
-
 def _grid(max_weight: int) -> list[tuple[int, int]]:
     """The (w, d) points with d >= 1 and w = 2j + 3d <= max_weight, weight-major."""
     return [(w, d) for w in range(3, max_weight + 1) for d in range(2 - w % 2, w // 3 + 1, 2)]
-
-
-def _read_only(table: Mapping[tuple[int, int], int], bound: int) -> _WeightPrefix:
-    """A view as given, or a view over a copy of any other mapping, keyed by the grid in order."""
-    if type(table) is _WeightPrefix:
-        return table
-    if list(table) != _grid(bound):
-        raise ValueError(f"a table's keys must be the (w, d) grid through weight {bound}, in order")
-    return _WeightPrefix(dict(table), bound, len(table))
 
 
 class MzvCounts(_Frozen):
@@ -142,51 +72,76 @@ class MzvCounts(_Frozen):
 
     ``mzv`` holds the zeta-value counts, ``euler`` the alternating-sum
     counts.  Zero entries are stored too: a vanishing count is data.  Both
-    are read-only mappings over the grid keys in increasing (w, d) order: a
-    cut views the same prefix of the largest expansion's two dicts and
-    copies nothing.  A table given as any other mapping must hold exactly
-    the grid keys in that order, else ValueError, and is copied.  The
-    two tables first differ at weight 12, at depth 2 (D = 1, M = 2) and at
-    depth 4 (D = 1, M = 0), and the two differences cancel: forgetting
-    depth (x = X**2, y = X**3, where y**2 - x**3 vanishes) turns both
-    product sides into (1 - X**2 - X**3)/(1 - X**2), so the depth sums
-    sum_d D(w, d) and sum_d M(w, d) agree at every weight.
+    are read-only mappings over the grid keys in increasing (w, d) order,
+    built on first read, as ``BetaTable.entries`` is: a table holds the
+    first entries of the largest expansion's two weight-major dicts, shared
+    by every cut, so a cut copies nothing, and a mapping is the dict itself
+    behind a proxy when the table is the whole expansion.  A table given to
+    the constructor must hold exactly the grid keys in that order, else
+    ValueError, and is copied.  The two tables first differ at weight 12,
+    at depth 2 (D = 1, M = 2) and at depth 4 (D = 1, M = 0), and the two
+    differences cancel: forgetting depth (x = X**2, y = X**3, where
+    y**2 - x**3 vanishes) turns both product sides into
+    (1 - X**2 - X**3)/(1 - X**2), so the depth sums sum_d D(w, d) and
+    sum_d M(w, d) agree at every weight.
     """
 
     _fields = ("max_weight", "mzv", "euler")
 
     def __init__(self, max_weight: int, mzv: Mapping[tuple[int, int], int],
                  euler: Mapping[tuple[int, int], int]) -> None:
+        grid = _grid(max_weight)
+        self._share(max_weight, dict(mzv), dict(euler), len(grid))  # checks the bound first
+        if not list(mzv) == list(euler) == grid:
+            raise ValueError(f"a table's keys must be the (w, d) grid through weight {max_weight}, "
+                             "in order")
+
+    def _share(self, max_weight: int, mzv: dict[tuple[int, int], int],
+               euler: dict[tuple[int, int], int], size: int) -> MzvCounts:
+        """Hold the first ``size`` entries of two weight-major dicts, unchecked; return self."""
         if max_weight < 0:
             raise ValueError("weight bound must be >= 0")
         # direct sets: every cut builds one, and the base's constructor is slower
-        object.__setattr__(self, "max_weight", max_weight)
-        object.__setattr__(self, "mzv", _read_only(mzv, max_weight))
-        object.__setattr__(self, "euler", _read_only(euler, max_weight))
+        vars(self).update(max_weight=max_weight, _mzv=mzv, _euler=euler, _size=size)
+        return self
+
+    def _prefix(self, table: dict[tuple[int, int], int]) -> Mapping[tuple[int, int], int]:
+        """This table's entries of a shared dict, read-only: the dict itself if they fill it."""
+        if len(table) > self._size:
+            table = dict(islice(table.items(), self._size))
+        return MappingProxyType(table)
+
+    @cached_property
+    def mzv(self) -> Mapping[tuple[int, int], int]:
+        """The zeta-value counts, read-only: built on first read, not by a cut."""
+        return self._prefix(self._mzv)
+
+    @cached_property
+    def euler(self) -> Mapping[tuple[int, int], int]:
+        """The Euler-sum counts, read-only: built on first read, not by a cut."""
+        return self._prefix(self._euler)
 
     def grid(self) -> list[tuple[int, int]]:
         """All (w, d) points with d >= 1 and w = 2j + 3d <= max_weight: the table keys."""
-        return list(self.mzv)
+        return list(islice(self._mzv, self._size))
 
-    def _lookup(self, table: Mapping[tuple[int, int], int], w: int, d: int) -> int:
+    def _lookup(self, table: dict[tuple[int, int], int], w: int, d: int) -> int:
         if w > self.max_weight:
             raise IndexOutOfRange(f"weight {w} exceeds the computed bound {self.max_weight}")
         return table.get((w, d), 0)  # the keys are the grid, so an off-grid point reads 0
 
     def mzv_count(self, w: int, d: int) -> int:
-        return self._lookup(self.mzv, w, d)
+        return self._lookup(self._mzv, w, d)
 
     def euler_count(self, w: int, d: int) -> int:
-        return self._lookup(self.euler, w, d)
+        return self._lookup(self._euler, w, d)
 
     def truncate(self, max_weight: int) -> MzvCounts:
-        """The tables through a smaller weight bound: views of the same prefix of both dicts."""
+        """The tables through a smaller weight bound: the same prefix of both shared dicts."""
         if max_weight > self.max_weight:
             raise IndexOutOfRange(f"cannot extend weight bound {self.max_weight} to {max_weight}")
         size = sum((max_weight - 3 * d) // 2 + 1 for d in range(1, max_weight // 3 + 1))
-        mzv = _WeightPrefix(self.mzv._table, max_weight, size)
-        euler = _WeightPrefix(self.euler._table, max_weight, size)
-        return MzvCounts(max_weight, mzv, euler)
+        return MzvCounts.__new__(MzvCounts)._share(max_weight, self._mzv, self._euler, size)
 
 
 @_grown("max_weight", 0)
@@ -203,10 +158,9 @@ def mzv_counts(max_weight: int) -> MzvCounts:
     _cross_check_diagonals(rows_mzv, max_weight)
     rows_eul = _peel_rational(_EUL_NUMERATOR, _EUL_DENOMINATOR, 2, 3, max_weight)
     mzv, euler = (  # keyed (w, d) weight-major, so a cut is a prefix
-        _WeightPrefix({(w, d): rows[(w - 3 * d) // 2][d] for w, d in grid}, max_weight, len(grid))
-        for rows in (rows_mzv, rows_eul)
+        {(w, d): rows[(w - 3 * d) // 2][d] for w, d in grid} for rows in (rows_mzv, rows_eul)
     )
-    return MzvCounts(max_weight, mzv, euler)
+    return MzvCounts.__new__(MzvCounts)._share(max_weight, mzv, euler, len(grid))
 
 
 def _cross_check_diagonals(rows: list[list[int]], w: int) -> None:

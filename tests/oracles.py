@@ -14,11 +14,13 @@ numerator and its factors (`times` multiplies them out), with a dense
 division.  A sum or product is valid exactly through the minimum
 truncation of its operands.
 The generator assemblies below use only these, so they are an
-independent reference for the division kernel; the multiset count uses
-no series at all.  `scaled_floats` keeps the series route's float
-rescaling in the form it was first written, and `series_constant` the
-whole route over a stored coefficient row: ten Horner passes, one per
-offset, then Neville extrapolation.
+independent reference for the division kernel, and so is the column
+oracle `h_series`, the closed form of each column j <= 3 of the beta
+generator; the multiset count uses no series at all.  `scaled_floats`
+keeps the series route's float rescaling in the form it was first
+written, and `series_constant` the whole route over a stored
+coefficient row: ten Horner passes, one per offset, then Neville
+extrapolation.
 """
 
 import math
@@ -374,6 +376,22 @@ def _embed(series_in_y, j, k, max_weight):
         for t in range(min(series_in_y.trunc_order, max_weight) + 1)
     }
     return bi_from_terms(2, 1, max_weight, terms)
+
+
+class UnsupportedColumn(ValueError):
+    """No closed form is available for columns beyond the fourth."""
+
+
+# Column j's numerator over (1 - y)(1 - y**2)(1 - y**3), for j <= 3
+_COLUMNS = ({4: 1}, {3: 1}, {2: 1, 3: 1}, {1: 1, 2: 1, 3: 1, 4: 1})
+
+
+def h_series(j, trunc_order):
+    """Column oracle: coefficient k is beta(2j + k, 2j) - 1, for j <= 3, densely."""
+    if not 0 <= j <= 3:
+        raise UnsupportedColumn(f"no closed form for column j={j}")
+    factors = (uni_from_terms(trunc_order, _one_minus(t)) for t in (1, 2, 3))
+    return uni_mul(uni_from_terms(trunc_order, _COLUMNS[j]), uni_inverse(reduce(uni_mul, factors)))
 
 
 def build_b_dense(max_weight):

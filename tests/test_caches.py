@@ -7,10 +7,11 @@ expansion at that size (``__wrapped__``, which never touches the
 cache), invalid sizes must raise as they do cold, and cache_clear must
 drop everything, the expansion included.  A cut costs what it returns:
 a beta_table cut is a slice of the largest table's rows, and an
-mzv_counts cut is a pair of read-only views of the same prefix of the
-largest expansion's two dicts, whose keys run in increasing (w, d)
-order.  No served value can be changed in place, so no caller can
-change what a later call is served.
+mzv_counts cut shares the largest expansion's two dicts, whose keys run
+in increasing (w, d) order, and holds how many of their first entries
+are its own.  Neither cut builds its mappings (``entries``, ``mzv``,
+``euler``) until they are read.  No served value can be changed in
+place, so no caller can change what a later call is served.
 """
 
 import random
@@ -197,6 +198,22 @@ def test_a_beta_table_cut_shares_the_rows_and_builds_no_entries():
     assert "entries" in vars(cut) and "entries" not in vars(largest)
 
 
+def test_an_mzv_counts_cut_shares_the_dicts_and_builds_no_mappings():
+    mzv_counts.cache_clear()
+    largest = mzv_counts(LARGEST)
+    cut = mzv_counts(25)
+    for w in range(26):
+        for d in range(w // 3 + 1):
+            cut.mzv_count(w, d)
+            cut.euler_count(w, d)
+    assert cut.grid() == largest.grid()[: len(cut.grid())]
+    for name in ("mzv", "euler"):
+        assert name not in vars(cut) and name not in vars(largest), name
+        assert getattr(cut, name) is getattr(cut, name), name
+        assert name in vars(cut) and name not in vars(largest), name
+    assert cut.mzv[(25, 5)] == cut.mzv_count(25, 5) and cut.euler[(25, 5)] == cut.euler_count(25, 5)
+
+
 @pytest.mark.parametrize("grown", [beta_table, mzv_counts], ids=["beta_table", "mzv_counts"])
 def test_a_cut_to_a_negative_bound_raises(grown):
     grown.cache_clear()
@@ -219,8 +236,13 @@ def test_an_mzv_counts_cut_views_the_largest_expansions_dicts():
     mzv_counts.cache_clear()
     largest = mzv_counts(96)
     cut = mzv_counts(60)
-    for name in ("mzv", "euler"):
-        assert getattr(cut, name)._table is getattr(largest, name)._table, name
+    assert cut._mzv is largest._mzv and cut._euler is largest._euler
+    assert (cut._size, largest._size) == (len(cut.grid()), len(largest.grid())) == (300, 768)
+    whole = mzv_counts.__wrapped__(12)  # cold, so changing its dicts reaches no cache
+    for name in ("mzv", "euler"):  # a whole expansion's mapping is its dict, not a copy
+        mapping = getattr(whole, name)
+        getattr(whole, f"_{name}")[(3, 1)] = 5
+        assert mapping[(3, 1)] == 5, name
 
 
 # Keys absent from a weight-60 table: past its prefix, off the grid, and not pairs at all
@@ -255,7 +277,7 @@ def test_an_mzv_counts_view_reads_as_the_dict_it_replaces():
         assert view == plain and plain == view and not view != plain and not plain != view
         changed = {**plain, (3, 1): 2}
         assert view != changed and changed != view and view != whole and whole != view
-        assert repr(view) == repr(plain)
+        assert repr(view) == f"mappingproxy({plain!r})"
     with pytest.raises(TypeError):
         hash(cut)
     with pytest.raises(TypeError):

@@ -167,6 +167,16 @@ class TestExitCodes:
         assert err.splitlines()[-1] == expected
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["1_0", "+20", " 20 ", "\uff12"])
+    @pytest.mark.parametrize("command, flag", [
+        ("beta", "--max-degree"), ("primitives", "--max-degree"), ("mzv", "--max-weight"),
+    ])
+    def test_a_size_is_ascii_digits_with_an_optional_minus(self, capsys, command, flag, text):
+        code, out, err = run_cli(capsys, command, flag, text)
+        assert code == 2 and out == ""
+        expected = f"gfenum {command}: error: argument {flag}: invalid size value: {text!r}"
+        assert err.splitlines()[-1] == expected
+
     def test_unknown_argument(self, capsys):
         code, _, _ = run_cli(capsys, "beta", "--nope")
         assert code == 2

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfenum.generators import (
-    UnsupportedColumn,
     UnsupportedDiagonal,
     _expand_rational,
     _expand_uni,
@@ -13,7 +12,6 @@ from gfenum.generators import (
     floor_formula_diag1,
     floor_formula_diag2,
     g_series,
-    h_series,
     p_closed,
     p_from_b,
     primitive_counts,
@@ -23,10 +21,12 @@ from gfenum.series import BiSeries, IndexOutOfRange
 
 from literals import P20, TABLE1, TALLIES, table1_cells
 from oracles import (
+    UnsupportedColumn,
     bi_from_terms,
     bi_inverse,
     bi_mul,
     build_b_dense,
+    h_series,
     substitute_x,
     uni_from_terms,
     uni_inverse,
