@@ -160,10 +160,11 @@ def _size_in(minimum: int, maximum):
     def size(text: str) -> int:
         if not re.fullmatch(r"-?[0-9]+", text):
             raise ValueError(text)  # argparse reports it as an invalid size value
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}")
         limit = maximum() if callable(maximum) else maximum
+        digits = text.lstrip("-0")  # more than the maximum's: out of range, never given to int()
+        value = int(digits or 0) if len(digits) <= len(str(limit)) else limit + 1
+        if value < minimum or value and text[0] == "-":  # below every minimum, all >= 0
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}")
         if value > limit:
             raise argparse.ArgumentTypeError(f"must be <= {limit}")
         return value

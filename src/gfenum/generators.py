@@ -45,24 +45,23 @@ def _grown(name: str, least: int):
     """
 
     def decorate(expand):
-        largest = {}  # the largest expansion so far, keyed by its size
+        slot = [-1, None]  # the size of the largest expansion so far, and that expansion
 
         def grow(size):
             if size < least:
                 raise ValueError(f"{name} must be >= {least}")
-            top = max(largest, default=-1)
-            if size > top:
-                top = max(size, 2 * top)
-                largest.clear()
-                largest[top] = expand(top)
-            return largest[top] if size == top else largest[top].truncate(size)
+            if size > slot[0]:
+                top = max(size, 2 * slot[0])
+                slot[:] = -1, None  # drop the old expansion before the new one is computed
+                slot[:] = top, expand(top)
+            return slot[1] if size == slot[0] else slot[1].truncate(size)
 
         grown = wraps(expand)(lru_cache(maxsize=None)(grow))  # __wrapped__ is expand, not grow
         clear = grown.cache_clear
 
         def cache_clear() -> None:  # clears the lru_cache and drops the largest expansion
             clear()
-            largest.clear()
+            slot[:] = -1, None
 
         grown.cache_clear = cache_clear
         return grown

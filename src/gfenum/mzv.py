@@ -140,7 +140,7 @@ class MzvCounts(_Frozen):
         """The tables through a smaller weight bound: the same prefix of both shared dicts."""
         if max_weight > self.max_weight:
             raise IndexOutOfRange(f"cannot extend weight bound {self.max_weight} to {max_weight}")
-        size = sum((max_weight - 3 * d) // 2 + 1 for d in range(1, max_weight // 3 + 1))
+        size = (max_weight * max_weight + 6) // 12  # the grid points: A001399 at max_weight - 3
         return MzvCounts.__new__(MzvCounts)._share(max_weight, self._mzv, self._euler, size)
 
 

@@ -5,16 +5,25 @@ doubling, and serves every smaller size as that expansion's truncate.
 Whatever order sizes are asked in, every value must equal the cold
 expansion at that size (``__wrapped__``, which never touches the
 cache), invalid sizes must raise as they do cold, and cache_clear must
-drop everything, the expansion included.  A cut costs what it returns:
-a beta_table cut is a slice of the largest table's rows, and an
-mzv_counts cut shares the largest expansion's two dicts, whose keys run
-in increasing (w, d) order, and holds how many of their first entries
-are its own.  Neither cut builds its mappings (``entries``, ``mzv``,
-``euler``) until they are read.  No served value can be changed in
-place, so no caller can change what a later call is served.
+drop everything, the expansion included.  The expansion and its size
+sit in one slot, emptied before a larger expansion is computed, so
+growth never holds two in the slot at once.  A cut is O(1) Python work
+plus the slice it returns: a beta_table cut is a slice of the largest
+table's rows, and an mzv_counts cut shares the largest expansion's two
+dicts, whose keys run in increasing (w, d) order, and holds how many of
+their first entries are its own, (w**2 + 6) // 12 at weight w, the
+partitions of w - 3 into parts of at most 3 (A001399).  Neither cut
+builds its mappings (``entries``, ``mzv``, ``euler``) until they are
+read.  No served value can be changed in place, so no caller can change
+what a later call is served.
 """
 
+import gc
+import importlib
+import pkgutil
 import random
+import sys
+import weakref
 from functools import lru_cache
 from operator import delitem, setitem
 from unittest import mock
@@ -116,20 +125,39 @@ class TestGrownCache:
             grown(30)
 
 
+# Every memo in gfenum: the seven caches a cold benchmark job clears, and no other
+SIZED = {"build_b", "p_closed", "p_from_b", "beta_table", "mzv_counts"}
+CACHES = SIZED | {"growth_root", "growth_constant"}
+
+
 def test_every_size_keyed_cache_can_be_inspected_and_cleared():
-    cached = {name for name in gfenum.__all__ if hasattr(getattr(gfenum, name), "cache_clear")}
-    sized = {"beta_table", "build_b", "p_closed", "p_from_b", "mzv_counts"}
-    assert cached == sized | {"growth_root", "growth_constant"}
+    modules = [gfenum] + [importlib.import_module(f"gfenum.{info.name}")
+                          for info in pkgutil.iter_modules(gfenum.__path__)]
+    found = {}  # every object with either cache method in a module or a class's namespace
+    for module in modules:
+        for value in vars(module).values():
+            for obj in [value, *vars(value).values()] if isinstance(value, type) else [value]:
+                obj = getattr(obj, "__func__", obj)  # a staticmethod or classmethod's function
+                if hasattr(obj, "cache_clear") or hasattr(obj, "cache_info"):
+                    found[id(obj)] = obj
+    caches = {obj.__name__: obj for obj in found.values()}
+    assert len(caches) == len(found) and set(caches) == CACHES
+    exported = {name for name in gfenum.__all__ if hasattr(getattr(gfenum, name), "cache_clear")}
+    assert exported == CACHES
     cache_info = type(lru_cache(maxsize=None)(abs).cache_info())
-    for name in sorted(cached):
-        info = getattr(gfenum, name).cache_info()
+    for name, cache in caches.items():  # a module-level callable of the module it was defined in
+        assert callable(cache) and getattr(sys.modules[cache.__module__], name) is cache, name
+        info = cache.cache_info()
         assert type(info) is cache_info and info.maxsize is None, name
-    for name in sorted(sized):
-        function = getattr(gfenum, name)
-        function(12)
-        assert function.cache_info().currsize >= 1
-        function.cache_clear()
-        assert function.cache_info().currsize == 0
+    for name in SIZED:
+        caches[name](12)
+    caches["growth_constant"]()
+    assert all(cache.cache_info().currsize >= 1 for cache in caches.values())
+    for cache in caches.values():
+        cache.cache_clear()
+    assert {name: cache.cache_info().currsize for name, cache in caches.items()} == dict.fromkeys(
+        CACHES, 0
+    )
 
 
 def test_mzv_counts_cut_cannot_extend():
@@ -353,3 +381,72 @@ def test_a_served_value_cannot_be_changed_in_place(grown, least, attempts):
                 mutate(*args)
     for size in range(least, LARGEST + 1):
         assert _contents(grown(size)) == _contents(grown.__wrapped__(size)), size
+
+
+def test_the_mzv_cut_size_is_the_closed_form_through_the_cli_maximum():
+    # grid points through weight w: partitions of w - 3 into parts <= 3 (A001399)
+    for w in range(301):
+        assert (w * w + 6) // 12 == len(mzv._grid(w)), w
+
+
+def test_every_cut_of_one_weight_120_expansion_equals_its_cold_expansion():
+    mzv_counts.cache_clear()
+    largest = mzv_counts(120)
+    for size in range(121):
+        cut, cold = largest.truncate(size), mzv_counts.__wrapped__(size)
+        assert cut.mzv == cold.mzv and cut.euler == cold.euler, size
+        assert cut.grid() == cold.grid() == mzv._grid(size), size
+        for w, d in cold.grid():
+            assert cut.mzv_count(w, d) == cold.mzv_count(w, d), (size, w, d)
+
+
+class _Expansion:
+    """A toy prefix-stable expansion that can be weakly referenced."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def truncate(self, size):
+        return _Expansion(size)
+
+
+def _tracked(expanded, alone):
+    """A toy expand that appends a weak reference to each expansion it makes to expanded.
+
+    If alone, it first asserts that no earlier expansion is alive.
+    """
+
+    def expand(size):
+        assert not alone or all(ref() is None for ref in expanded), "an earlier one is alive"
+        value = _Expansion(size)
+        expanded.append(weakref.ref(value))
+        return value
+
+    return expand
+
+
+WALK = (3, 2, 4, 7, 5, 30, 29)  # expands 3, 6, 12 and 30
+
+
+def test_the_slot_drops_the_old_expansion_before_the_next_expand_starts():
+    expanded = []
+    # a memo that holds nothing, so only the slot can keep an expansion alive
+    with mock.patch.object(generators, "lru_cache", lambda maxsize: lru_cache(maxsize=0)):
+        grown = generators._grown("size", 0)(_tracked(expanded, alone=True))
+    for size in WALK:
+        assert grown(size).size == size
+        gc.collect()
+    assert [ref() and ref().size for ref in expanded] == [None, None, None, 30]
+    grown.cache_clear()
+    gc.collect()
+    assert all(ref() is None for ref in expanded)
+
+
+def test_after_cache_clear_no_expansion_is_alive():
+    expanded = []
+    grown = generators._grown("size", 0)(_tracked(expanded, alone=False))
+    for size in WALK:
+        grown(size)
+    grown.cache_clear()
+    gc.collect()
+    assert len(expanded) == 4 and all(ref() is None for ref in expanded)

@@ -177,6 +177,34 @@ class TestExitCodes:
         expected = f"gfenum {command}: error: argument {flag}: invalid size value: {text!r}"
         assert err.splitlines()[-1] == expected
 
+    @pytest.mark.parametrize("text, bound", [
+        pytest.param("9" * 5000, "<= {maximum}", id="5000-nines"),  # past int()'s digit limit
+        pytest.param("-" + "9" * 5000, ">= {minimum}", id="minus-5000-nines"),
+        pytest.param("1" + "0" * 40, "<= {maximum}", id="1e40"),
+        pytest.param("-1" + "0" * 40, ">= {minimum}", id="minus-1e40"),
+    ])
+    @pytest.mark.parametrize("command, flag, minimum, maximum", [
+        ("beta", "--max-degree", 0, 1000), ("asymptote", "--max-degree", 2, 2202),
+    ])
+    def test_an_over_long_size_fails_on_its_bound_echoing_no_digits(
+        self, capsys, text, bound, command, flag, minimum, maximum
+    ):
+        code, out, err = run_cli(capsys, command, flag, text)
+        assert code == 2 and out == ""
+        expected = f"gfenum {command}: error: argument {flag}: must be "
+        assert err.splitlines()[-1] == expected + bound.format(minimum=minimum, maximum=maximum)
+        assert text.lstrip("-")[:10] not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text, value", [
+        pytest.param("0" * 5000 + "7", 7, id="5000-zeros-then-7"),
+        pytest.param("-" + "0" * 5000, 0, id="minus-5000-zeros"),
+        pytest.param("0" * 5000, 0, id="5000-zeros"),
+        pytest.param("-0", 0, id="minus-zero"),
+        pytest.param("0020", 20, id="0020"),
+    ])
+    def test_leading_zeros_are_not_digits_of_the_size(self, text, value):
+        assert cli._size_in(0, 1000)(text) == value
+
     def test_unknown_argument(self, capsys):
         code, _, _ = run_cli(capsys, "beta", "--nope")
         assert code == 2
