@@ -23,11 +23,8 @@ _EXPORTS = {
         "floor_formula_diag1", "floor_formula_diag2", "g_series", "p_closed", "p_from_b",
         "primitive_counts",
     ),
-    "transforms": (
-        "PRODUCT_OF_INVERSES", "PRODUCT_PLAIN", "NegativeExponent", "NonIntegerExponent",
-        "NonUnitConstant", "euler_expand", "peel_bi", "peel_uni",
-    ),
-    "mzv": ("CrossCheckError", "MzvCounts", "build_eul_rhs", "build_mzv_rhs", "mzv_counts"),
+    "transforms": ("NegativeExponent", "NonIntegerExponent", "NonUnitConstant", "euler_expand"),
+    "mzv": ("CrossCheckError", "MzvCounts", "build_mzv_rhs", "mzv_counts"),
     "asymptotics": (
         "AsymptoticReport", "asymptotic_report", "growth_constant",
         "growth_constant_from_series", "growth_root", "max_ratio_degree", "ratio_table",

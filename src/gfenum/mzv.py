@@ -56,12 +56,6 @@ def build_mzv_rhs(max_weight: int) -> BiSeries:
     return BiSeries(2, 3, max_weight, rows)
 
 
-def build_eul_rhs(max_weight: int) -> BiSeries:
-    """The product side of the Euler-sum count generator, 1 - y/(1 - x) = (1 - x - y)/(1 - x)."""
-    rows = _expand_rational(_EUL_NUMERATOR, _EUL_DENOMINATOR, 2, 3, max_weight)
-    return BiSeries(2, 3, max_weight, rows)
-
-
 def _grid(max_weight: int) -> list[tuple[int, int]]:
     """The (w, d) points with d >= 1 and w = 2j + 3d <= max_weight, weight-major."""
     return [(w, d) for w in range(3, max_weight + 1) for d in range(2 - w % 2, w // 3 + 1, 2)]
@@ -120,10 +114,6 @@ class MzvCounts(_Frozen):
     def euler(self) -> Mapping[tuple[int, int], int]:
         """The Euler-sum counts, read-only: built on first read, not by a cut."""
         return self._prefix(self._euler)
-
-    def grid(self) -> list[tuple[int, int]]:
-        """All (w, d) points with d >= 1 and w = 2j + 3d <= max_weight: the table keys."""
-        return list(islice(self._mzv, self._size))
 
     def _lookup(self, table: dict[tuple[int, int], int], w: int, d: int) -> int:
         if w > self.max_weight:

@@ -16,7 +16,7 @@ dense algebra that checks those kernels is a test oracle.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 Coeff = int
 
@@ -135,12 +135,6 @@ class BiSeries(_Frozen):
                 f"monomial ({j}, {k}) is outside the weight bound {self.max_weight}"
             )
         return self.coeffs[j][k]
-
-    def nonzero_terms(self) -> Iterator[tuple[int, int, Coeff]]:
-        for j, row in enumerate(self.coeffs):
-            for k, c in enumerate(row):
-                if c != 0:
-                    yield j, k, c
 
     def truncate(self, max_weight: int) -> BiSeries:
         if max_weight > self.max_weight:

@@ -1,19 +1,18 @@
-"""Euler transform and its inverse, product peeling.
+"""Euler transform and its inverse, the rational peel.
 
 The Euler transform maps graded exponents {e_m} to the series
 prod_m (1 - y**m)**(-e_m); with nonnegative exponents its coefficients
 count multisets of graded objects.  `euler_expand` is its one entry
 point, turning the primitive counts P_m into V_m and F_m over the one
-grading, the degree.  Peeling inverts it over one grading (`peel_uni`)
-or two (`peel_bi`, monomials x**j * y**d): given a series with constant
-term 1 it recovers the exponents.  The peel takes two sign conventions,
-a product of inverse factors and a plain product; they differ by one
-negation of the exponent family.
+grading, the degree.  `_peel_rational` is its one inverse, over two
+gradings (monomials x**j * y**d): from the rational data of a series F
+with constant term 1 it recovers the exponents e with
+F = prod (1 - x**j * y**d)**e, and `mzv_counts` runs it on both count
+generators.
 
-Exponent families are plain mappings, ``{degree: exponent}`` for one
-grading and ``{(j, d): exponent}`` for two.  Absent indices mean zero.
-Only the peel works on a weighted grid; a one-grading series is its
-j = 0 row.
+Forward exponent families are plain mappings ``{degree: exponent}``,
+absent degrees meaning zero; the peel returns its family as grid rows,
+``rows[j][d]``.
 
 Both directions use the log-derivative recurrence of Bernstein and Sloane
 ("Some canonical sequences of integers", 1995).  With wt(n) the total
@@ -27,12 +26,12 @@ where k <= n is componentwise and k | n means n = t*k for an integer
 t >= 1, so c = E(F)/F.  Forward, `euler_expand` builds c from e and then
 a from c by the recurrence over the degree.  A product of integer
 factors has integer a_n, so the division by n is exact; it is checked
-anyway.  The peel takes F as N / prod(f) over binomials 1 - x**a * y**b,
-a series being F / 1, and gets c = E(N)/N by one sparse division, never
-expanding F; Moebius inversion along each ray {m * n : m >= 1} recovers
-N's exponents from c, and each binomial takes 1 off its monomial's.  An
-inexact division by wt(n) is exactly the case where no integer exponent
-family exists, so it raises NonIntegerExponent instead of a rational.
+anyway.  The peel takes F as N / prod(f) over binomials 1 - x**a * y**b
+and gets c = E(N)/N by one sparse division, never expanding F; Moebius
+inversion along each ray {m * n : m >= 1} recovers N's exponents from
+c, and each binomial takes 1 off its monomial's.  An inexact division by
+wt(n) is exactly the case where no integer exponent family exists, so it
+raises NonIntegerExponent instead of a rational.
 """
 
 from __future__ import annotations
@@ -42,13 +41,7 @@ from operator import floordiv, mod, mul, sub
 from typing import Mapping, Sequence
 
 from .generators import Terms, _expand_rational
-from .series import BiSeries, Coeff, UniSeries
-
-PRODUCT_OF_INVERSES = "product_of_inverses"
-PRODUCT_PLAIN = "product_plain"
-_FORMS = (PRODUCT_OF_INVERSES, PRODUCT_PLAIN)
-
-Monomial = tuple[int, int]
+from .series import Coeff, UniSeries
 
 
 class NonUnitConstant(ValueError):
@@ -61,13 +54,6 @@ class NonIntegerExponent(ArithmeticError):
 
 class NegativeExponent(ValueError):
     """Euler expansion is defined for nonnegative exponents only."""
-
-
-def _sign(form: str) -> int:
-    """+1 if exponents of ``form`` are those of a plain product, else -1."""
-    if form not in _FORMS:
-        raise ValueError(f"form must be one of {_FORMS}, got {form!r}")
-    return 1 if form == PRODUCT_PLAIN else -1
 
 
 def _exponents(c: list[list[Coeff]], weight_x: int, weight_y: int) -> list[list[int]]:
@@ -144,31 +130,3 @@ def euler_expand(exponents: Mapping[int, int], min_degree: int, trunc_order: int
         if rest:
             raise ArithmeticError(f"inexact division at degree {n}")
     return UniSeries(trunc_order, tuple(a))
-
-
-def peel_uni(series: UniSeries, form: str) -> dict[int, int]:
-    """Recover {e_m} with prod_m (1 - y**m)**(sign * e_m) == series.
-
-    Raises NonUnitConstant unless the constant term is 1, and
-    NonIntegerExponent if an exponent is fractional, which falsifies the
-    product form.
-    """
-    n = series.trunc_order
-    exponents = peel_bi(BiSeries(n + 1, 1, n, (series.coeffs,)), form)
-    return {m: e for (_, m), e in exponents.items()}
-
-
-def peel_bi(series: BiSeries, form: str = PRODUCT_PLAIN) -> dict[Monomial, int]:
-    """Recover {(j, d): e} with prod (1 - x**j * y**d)**(sign * e) == series.
-
-    Only monomials with positive y-degree are peeled, so the input must
-    satisfy F(x, 0) == 1; a pure-x term means the input was not a product
-    of the expected form and raises NonIntegerExponent.  Keys come out in
-    increasing total weight with ties broken by increasing d.
-    """
-    sign = _sign(form)
-    terms = {(j, d): c for j, d, c in series.nonzero_terms()}
-    rows = _peel_rational(terms, (), series.weight_x, series.weight_y, series.max_weight)
-    keys = sorted((series.weight_x * j + series.weight_y * d, d, j)
-                  for j, row in enumerate(rows) for d, e in enumerate(row) if e)
-    return {(j, d): sign * rows[j][d] for _, d, j in keys}

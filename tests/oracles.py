@@ -1,8 +1,10 @@
-"""Test-only oracles that never call the library's transform or division kernels.
+"""Test-only oracles that never call the library's transform or division kernels,
+and the test-only entry points to those kernels.
 
 The dense series algebra lives here, not in the library: constructors
 (`uni_from_coeffs`, `uni_from_terms`, `bi_from_terms`, the ones and
-zeros), the x = 0 row (`bi_x0_row`), sums and differences, schoolbook
+zeros), the nonzero terms (`nonzero_terms`), the x = 0 row
+(`bi_x0_row`), sums and differences, schoolbook
 products (`uni_mul`, `bi_mul`) and term-by-term inverses (`uni_inverse`,
 `bi_inverse`) over the `UniSeries` and `BiSeries` containers, and the
 forward Euler product built from them (`product_oracle`), and the
@@ -21,14 +23,22 @@ keeps the series route's float rescaling in the form it was first
 written, and `series_constant` the whole route over a stored
 coefficient row: ten Horner passes, one per offset, then Neville
 extrapolation.
+
+Three functions do call the kernels, so they are no oracles: `peel_bi`
+and `peel_uni` run `transforms._peel_rational` on a stored series in
+either sign convention (`PRODUCT_OF_INVERSES`, `PRODUCT_PLAIN`; `SIGN`
+gives each one's power of the factors), and `build_eul_rhs` expands the
+Euler-sum generator with the division kernel.
 """
 
 import math
 from fractions import Fraction
 from functools import reduce
 
+from gfenum import mzv
+from gfenum.generators import _expand_rational
 from gfenum.series import BiSeries, UniSeries, _zero_rows
-from gfenum.transforms import NonIntegerExponent, NonUnitConstant
+from gfenum.transforms import NonIntegerExponent, NonUnitConstant, _peel_rational
 
 
 class WeightMismatch(ValueError):
@@ -94,6 +104,11 @@ def bi_from_terms(weight_x, weight_y, max_weight, terms):
     return BiSeries(weight_x, weight_y, max_weight, rows)
 
 
+def nonzero_terms(a):
+    """(j, k, c) for every nonzero coefficient of a bivariate series, row by row."""
+    return [(j, k, c) for j, row in enumerate(a.coeffs) for k, c in enumerate(row) if c != 0]
+
+
 def bi_x0_row(a):
     """The series in y multiplying x**0, exact through the weight bound."""
     return UniSeries(len(a.coeffs[0]) - 1, a.coeffs[0])
@@ -124,7 +139,7 @@ def substitute_x(a):
     if (a.weight_x, a.weight_y) != (2, 1):
         raise WeightMismatch("x = y**2 substitution preserves truncation only for weights (2, 1)")
     out = [0] * (a.max_weight + 1)
-    for j, k, c in a.nonzero_terms():
+    for j, k, c in nonzero_terms(a):
         out[2 * j + k] += c
     return UniSeries(a.max_weight, tuple(out))
 
@@ -201,12 +216,13 @@ def bi_mul(a, b):
     wx, wy = a.weight_x, a.weight_y
     w = min(a.max_weight, b.max_weight)
     rows = _zero_rows(wx, wy, w)
-    for j1, k1, c1 in a.nonzero_terms():
+    terms_b = nonzero_terms(b)
+    for j1, k1, c1 in nonzero_terms(a):
         w1 = j1 * wx + k1 * wy
         if w1 > w:
             continue
         budget = w - w1
-        for j2, k2, c2 in b.nonzero_terms():
+        for j2, k2, c2 in terms_b:
             if j2 * wx + k2 * wy <= budget:
                 rows[j1 + j2][k1 + k2] += c1 * c2
     return BiSeries(wx, wy, w, tuple(tuple(r) for r in rows))
@@ -332,6 +348,35 @@ def peel_rational_reference(numerator, factors, weight_x, weight_y, max_weight):
     return exponents
 
 
+# the power of each factor (1 - m_n) is SIGN[form] * e_n
+PRODUCT_OF_INVERSES = "product_of_inverses"
+PRODUCT_PLAIN = "product_plain"
+SIGN = {PRODUCT_OF_INVERSES: -1, PRODUCT_PLAIN: 1}
+
+
+def peel_bi(series, form=PRODUCT_PLAIN):
+    """{(j, d): e} with prod (1 - x**j * y**d)**(SIGN[form] * e) == series, by the library's peel.
+
+    Runs `transforms._peel_rational` on the series' nonzero terms as a
+    numerator with no factors, so it raises what the peel raises.  Keys
+    come out in increasing total weight with ties broken by increasing d.
+    """
+    if form not in SIGN:
+        raise ValueError(f"form must be one of {tuple(SIGN)}, got {form!r}")
+    terms = {(j, d): c for j, d, c in nonzero_terms(series)}
+    rows = _peel_rational(terms, (), series.weight_x, series.weight_y, series.max_weight)
+    keys = sorted((series.weight_x * j + series.weight_y * d, d, j)
+                  for j, row in enumerate(rows) for d, e in enumerate(row) if e)
+    return {(j, d): SIGN[form] * rows[j][d] for _, d, j in keys}
+
+
+def peel_uni(series, form):
+    """{m: e} with prod_m (1 - y**m)**(SIGN[form] * e_m) == series: `peel_bi` on one row."""
+    n = series.trunc_order
+    exponents = peel_bi(BiSeries(n + 1, 1, n, (series.coeffs,)), form)
+    return {m: e for (_, m), e in exponents.items()}
+
+
 def multiset_oracle(exponents, min_degree, target):
     """Count multisets of graded objects with total degree == target.
 
@@ -440,6 +485,12 @@ def build_eul_rhs_dense(max_weight):
     y = bi_from_terms(2, 3, w, {(0, 1): 1})
     inv_1mx = bi_inverse(bi_from_terms(2, 3, w, {(0, 0): 1, (1, 0): -1}))
     return bi_sub(one, bi_mul(y, inv_1mx))
+
+
+def build_eul_rhs(max_weight):
+    """1 - y/(1 - x), expanded from `mzv`'s Euler-sum data by the library's division kernel."""
+    rows = _expand_rational(mzv._EUL_NUMERATOR, mzv._EUL_DENOMINATOR, 2, 3, max_weight)
+    return BiSeries(2, 3, max_weight, rows)
 
 
 def scaled_floats(coeffs, scale):

@@ -234,11 +234,11 @@ def test_an_mzv_counts_cut_shares_the_dicts_and_builds_no_mappings():
         for d in range(w // 3 + 1):
             cut.mzv_count(w, d)
             cut.euler_count(w, d)
-    assert cut.grid() == largest.grid()[: len(cut.grid())]
     for name in ("mzv", "euler"):
         assert name not in vars(cut) and name not in vars(largest), name
         assert getattr(cut, name) is getattr(cut, name), name
         assert name in vars(cut) and name not in vars(largest), name
+    assert list(cut.mzv) == list(largest.mzv)[: len(cut.mzv)] == mzv._grid(25)
     assert cut.mzv[(25, 5)] == cut.mzv_count(25, 5) and cut.euler[(25, 5)] == cut.euler_count(25, 5)
 
 
@@ -257,7 +257,7 @@ def test_a_table_with_a_negative_bound_cannot_be_constructed():
     with pytest.raises(ValueError, match="weight bound must be >= 0"):
         MzvCounts(-3, {}, {})
     assert BetaTable(0, ((1,),)).entries == {(0, 0): 1}
-    assert MzvCounts(0, {}, {}).grid() == []
+    assert list(MzvCounts(0, {}, {}).mzv) == []
 
 
 def test_an_mzv_counts_cut_views_the_largest_expansions_dicts():
@@ -265,7 +265,7 @@ def test_an_mzv_counts_cut_views_the_largest_expansions_dicts():
     largest = mzv_counts(96)
     cut = mzv_counts(60)
     assert cut._mzv is largest._mzv and cut._euler is largest._euler
-    assert (cut._size, largest._size) == (len(cut.grid()), len(largest.grid())) == (300, 768)
+    assert (cut._size, largest._size) == (len(cut.mzv), len(largest.mzv)) == (300, 768)
     whole = mzv_counts.__wrapped__(12)  # cold, so changing its dicts reaches no cache
     for name in ("mzv", "euler"):  # a whole expansion's mapping is its dict, not a copy
         mapping = getattr(whole, name)
@@ -317,7 +317,7 @@ def test_a_table_given_as_a_plain_mapping_is_copied():
     counts = MzvCounts(3, mzv, euler)
     mzv[(3, 1)] = euler[(3, 1)] = 5
     assert counts.mzv_count(3, 1) == counts.euler_count(3, 1) == 1
-    assert counts.truncate(3) == counts and counts.truncate(2).grid() == []
+    assert counts.truncate(3) == counts and list(counts.truncate(2).mzv) == []
 
 
 # The grid keys through weight 9, weight-major: the only keys a plain table may hold
@@ -334,13 +334,14 @@ GRID_9 = [(3, 1), (5, 1), (6, 2), (7, 1), (8, 2), (9, 1), (9, 3)]
 ])
 def test_a_plain_mapping_must_hold_exactly_the_grid_in_order(max_weight, keys):
     mzv_counts.cache_clear()
-    assert mzv_counts(9).grid() == GRID_9
+    assert list(mzv_counts(9).mzv) == GRID_9
     table, grid = dict.fromkeys(keys, 7), {key: 1 for key in GRID_9 if key[0] <= max_weight}
     for mzv, euler in ((table, grid), (grid, table)):
         with pytest.raises(ValueError, match=r"the \(w, d\) grid through weight"):
             MzvCounts(max_weight, mzv, euler)
     counts = MzvCounts(max_weight, grid, grid)
-    assert counts.grid() == list(grid) and counts.truncate(4).grid() == GRID_9[:1]
+    assert list(counts.mzv) == list(counts.euler) == list(grid)
+    assert list(counts.truncate(4).mzv) == GRID_9[:1]
 
 
 # Each grown cache, with the attempts to change a value it serves in place
@@ -395,8 +396,8 @@ def test_every_cut_of_one_weight_120_expansion_equals_its_cold_expansion():
     for size in range(121):
         cut, cold = largest.truncate(size), mzv_counts.__wrapped__(size)
         assert cut.mzv == cold.mzv and cut.euler == cold.euler, size
-        assert cut.grid() == cold.grid() == mzv._grid(size), size
-        for w, d in cold.grid():
+        assert list(cut.mzv) == list(cold.euler) == mzv._grid(size), size
+        for w, d in cold.mzv:
             assert cut.mzv_count(w, d) == cold.mzv_count(w, d), (size, w, d)
 
 

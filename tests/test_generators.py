@@ -27,6 +27,7 @@ from oracles import (
     bi_mul,
     build_b_dense,
     h_series,
+    nonzero_terms,
     substitute_x,
     uni_from_terms,
     uni_inverse,
@@ -42,7 +43,7 @@ class TestBuildB:
 
     def test_coefficients_are_nonnegative_integers(self):
         b = build_b(20)
-        for _, _, c in b.nonzero_terms():
+        for _, _, c in nonzero_terms(b):
             assert isinstance(c, int) and c > 0
 
     def test_top_row_vanishes(self):

@@ -10,26 +10,23 @@ from gfenum.mzv import (
     DEPTH_DIAGONAL_CHECKED_MAX,
     CrossCheckError,
     _cross_check_diagonals,
-    build_eul_rhs,
     build_mzv_rhs,
     mzv_counts,
 )
 from gfenum.series import IndexOutOfRange
-from gfenum.transforms import (
-    PRODUCT_PLAIN,
-    NonIntegerExponent,
-    _peel_rational,
-    euler_expand,
-    peel_bi,
-    peel_uni,
-)
+from gfenum.transforms import NonIntegerExponent, _peel_rational, euler_expand
 
 from literals import DEPTH_DIAGONAL_7
 from oracles import (
+    PRODUCT_PLAIN,
     bi_from_terms,
     bi_x0_row,
+    build_eul_rhs,
     build_eul_rhs_dense,
     build_mzv_rhs_dense,
+    nonzero_terms,
+    peel_bi,
+    peel_uni,
     product_oracle,
     push_exponents,
     uni_from_terms,
@@ -51,7 +48,7 @@ class TestGenerators:
         for j in range(len(rhs.coeffs)):
             if 2 * j + 3 <= 24:
                 assert rhs[(j, 1)] == -1
-        for j, k, _ in rhs.nonzero_terms():
+        for j, k, _ in nonzero_terms(rhs):
             assert k <= 1
 
     @pytest.mark.parametrize("weight", [0, 3, 12, 36, 60])
@@ -81,10 +78,10 @@ class TestCounts:
 
     def test_tables_agree_through_weight_eleven(self):
         counts = mzv_counts(23)
-        for w, d in counts.grid():
+        for w, d in counts.mzv:
             if w <= 11:
                 assert counts.mzv_count(w, d) == counts.euler_count(w, d)
-        differing = sorted(w for w, d in counts.grid()
+        differing = sorted(w for w, d in counts.mzv
                            if counts.mzv_count(w, d) != counts.euler_count(w, d))
         assert differing[0] == 12
 
@@ -96,7 +93,7 @@ class TestCounts:
             for j in range((weight - 3 * d) // 2 + 1)
         )
         counts = mzv_counts(weight)
-        assert counts.grid() == explicit
+        assert list(counts.mzv) == explicit
         assert sorted(counts.euler) == explicit
 
     def test_depth_sums_agree_at_every_weight(self):
@@ -130,7 +127,7 @@ class TestCounts:
     def test_weights_below_three_give_empty_tables(self, weight):
         # no count lives below weight 3, so the depth-1 cross-check has nothing to read
         counts = mzv_counts(weight)
-        assert counts.grid() == [] and dict(counts.mzv) == dict(counts.euler) == {}
+        assert dict(counts.mzv) == dict(counts.euler) == {}
         assert counts.mzv_count(weight, 1) == 0
 
     def test_off_grid_lookups(self):

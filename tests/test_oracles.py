@@ -15,6 +15,7 @@ from oracles import (
     bi_inverse,
     bi_mul,
     bi_one,
+    nonzero_terms,
     substitute_x,
     uni_add,
     uni_from_coeffs,
@@ -123,7 +124,7 @@ class TestBiSeries:
         a = bi_from_terms(2, 1, 7, {(0, 0): 1, (3, 0): -1})
         inv = bi_inverse(a)
         assert len(inv.coeffs) == 4
-        for j, k, c in inv.nonzero_terms():
+        for j, k, c in nonzero_terms(inv):
             assert (j, k) in ((0, 0), (3, 0)) and c == 1
 
     def test_multiplicative_identity(self):

@@ -11,26 +11,29 @@ from gfenum import mzv, transforms
 from gfenum.generators import primitive_counts
 from gfenum.series import BiSeries, _zero_rows
 from gfenum.transforms import (
-    PRODUCT_OF_INVERSES,
-    PRODUCT_PLAIN,
     NegativeExponent,
     NonIntegerExponent,
     NonUnitConstant,
     _exponents,
     _peel_rational,
     euler_expand,
-    peel_bi,
-    peel_uni,
 )
 
 from literals import DEPTH_DIAGONAL_7, F20, V20
 from oracles import (
+    PRODUCT_OF_INVERSES,
+    PRODUCT_PLAIN,
+    SIGN,
     bi_from_terms,
+    build_eul_rhs,
     bi_x0_row,
     bi_zero,
     multiset_oracle,
     add_to_multiples,
+    nonzero_terms,
+    peel_bi,
     peel_rational_reference,
+    peel_uni,
     product_oracle,
     push_exponents,
     uni_from_coeffs,
@@ -60,9 +63,6 @@ def naive_product_expansion(exponents, trunc):
                 coeffs[n] += coeffs[n - m]
     return coeffs
 
-
-# the power of each factor (1 - m_n) is SIGN[form] * e_n
-SIGN = {PRODUCT_OF_INVERSES: -1, PRODUCT_PLAIN: 1}
 
 BI_WEIGHT = 16
 
@@ -248,7 +248,7 @@ class TestPeelRational:
         "numerator, factors, build",
         [
             (mzv._MZV_NUMERATOR, mzv._MZV_DENOMINATOR, mzv.build_mzv_rhs),
-            (mzv._EUL_NUMERATOR, mzv._EUL_DENOMINATOR, mzv.build_eul_rhs),
+            (mzv._EUL_NUMERATOR, mzv._EUL_DENOMINATOR, build_eul_rhs),
         ],
         ids=["zeta", "euler"],
     )
@@ -266,7 +266,7 @@ class TestPeelRational:
         "numerator, factors, build",
         [
             (mzv._MZV_NUMERATOR, mzv._MZV_DENOMINATOR, mzv.build_mzv_rhs),
-            (mzv._EUL_NUMERATOR, mzv._EUL_DENOMINATOR, mzv.build_eul_rhs),
+            (mzv._EUL_NUMERATOR, mzv._EUL_DENOMINATOR, build_eul_rhs),
         ],
         ids=["zeta", "euler"],
     )
@@ -280,7 +280,7 @@ class TestPeelRational:
     def test_recovers_a_product_split_into_numerator_and_factors(self, exponents):
         positive = {jd: e for jd, e in exponents.items() if e > 0}
         expanded = product_oracle(positive, 2, 3, BI_WEIGHT, SIGN[PRODUCT_PLAIN])
-        numerator = {(j, d): c for j, d, c in expanded.nonzero_terms()}
+        numerator = {(j, d): c for j, d, c in nonzero_terms(expanded)}
         factors = [{(0, 0): 1, jd: -1} for jd, e in exponents.items() for _ in range(-e)]
         assert nonzero(_peel_rational(numerator, factors, 2, 3, BI_WEIGHT)) == exponents
 
@@ -383,7 +383,7 @@ class TestNumeratorAlonePeel:
         weight_x, weight_y, max_weight = grid(size)
         exponents = {ab: data.draw(st.integers(-3, 3)) for ab in data.draw(BINOMIALS)}
         product = product_oracle(exponents, weight_x, weight_y, max_weight, SIGN[PRODUCT_PLAIN])
-        numerator = {(j, d): c for j, d, c in product.nonzero_terms()}
+        numerator = {(j, d): c for j, d, c in nonzero_terms(product)}
         self.check(numerator, data.draw(BINOMIALS), weight_x, weight_y, max_weight)
 
 
