@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
@@ -30,7 +29,6 @@ def _quartic(r: float) -> float:
     return r ** 4 - r ** 3 - 1.0
 
 
-@lru_cache(maxsize=None)
 def growth_root() -> float:
     """The real root of r**4 - r**3 - 1 in (1, 2), by Newton's method from r = 2.
 
@@ -51,7 +49,6 @@ def _evaluate(poly: dict[int, int], y: float) -> float:
     return total
 
 
-@lru_cache(maxsize=None)
 def growth_constant() -> float:
     """lim_m P_m / r**m, as the residue-style limit of (1 - r*y) times the gap series.
 

@@ -170,7 +170,7 @@ _B_DENOMINATOR = (
 )
 
 
-@_grown("max_weight", 0)
+@lru_cache(maxsize=None)  # no growth rule: beta_table asks only at its own expansion sizes
 def build_b(max_weight: int) -> BiSeries:
     """The conjectured two-variable generator of beta(2j + k, 2j) - 1.
 

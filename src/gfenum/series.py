@@ -8,10 +8,11 @@ too-short truncation fails loudly rather than producing silent zeros.
 
 Coefficients are exact values, never floats (every library path makes
 Python ints), and are stored as given.  Series values are immutable after
-construction.  The containers index and truncate; they have no
-arithmetic: the library expands every series with the division kernel
-in `generators` and the Euler-transform pair in `transforms`, and the
-dense algebra that checks those kernels is a test oracle.
+construction.  The containers index, and a univariate one also
+truncates; they have no arithmetic: the library expands every series
+with the division kernel in `generators` and the Euler-transform pair
+in `transforms`, and the dense algebra that checks those kernels is a
+test oracle.
 """
 
 from __future__ import annotations
@@ -122,11 +123,7 @@ class BiSeries(_Frozen):
             width = _row_length(weight_x, weight_y, max_weight, j)
             if len(row) != width:
                 raise ValueError(f"row {j} must hold exactly {width} coefficients")
-        # direct sets: every cut builds one, and the base's constructor is slower
-        object.__setattr__(self, "weight_x", weight_x)
-        object.__setattr__(self, "weight_y", weight_y)
-        object.__setattr__(self, "max_weight", max_weight)
-        object.__setattr__(self, "coeffs", rows)
+        super().__init__(weight_x, weight_y, max_weight, rows)
 
     def __getitem__(self, index: tuple[int, int]) -> Coeff:
         j, k = index
@@ -135,17 +132,6 @@ class BiSeries(_Frozen):
                 f"monomial ({j}, {k}) is outside the weight bound {self.max_weight}"
             )
         return self.coeffs[j][k]
-
-    def truncate(self, max_weight: int) -> BiSeries:
-        if max_weight > self.max_weight:
-            raise IndexOutOfRange(
-                f"cannot extend weight bound {self.max_weight} to {max_weight}"
-            )
-        rows = [
-            row[: _row_length(self.weight_x, self.weight_y, max_weight, j)]
-            for j, row in enumerate(self.coeffs[: max_weight // self.weight_x + 1])
-        ]
-        return BiSeries(self.weight_x, self.weight_y, max_weight, tuple(rows))
 
 
 def _zero_rows(weight_x: int, weight_y: int, max_weight: int) -> list[list[Coeff]]:

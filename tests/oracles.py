@@ -152,7 +152,7 @@ def bi_neg(a):
 def bi_add(a, b):
     _check_weights(a, b)
     w = min(a.max_weight, b.max_weight)
-    a, b = a.truncate(w), b.truncate(w)
+    # zip stops at the shorter row list and the shorter row: the sum cut to weight w
     rows = tuple(
         tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.coeffs, b.coeffs)
     )

@@ -45,6 +45,7 @@ class TestPublicSurface:
         assert not hasattr(BiSeries, "nonzero_terms")
         assert not hasattr(BetaTable, "primitive_count")
         assert not hasattr(BiSeries, "substitute_x")
+        assert not hasattr(BiSeries, "truncate")  # no memo cuts a BiSeries
         assert "WeightMismatch" not in gfenum.__all__
         assert not {"h_series", "UnsupportedColumn"} & set(gfenum.__all__)
 

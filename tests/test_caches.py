@@ -1,7 +1,10 @@
-"""The grow-once caches of build_b, p_closed, p_from_b, beta_table and mzv_counts are invisible.
+"""The memos of build_b, p_closed, p_from_b, beta_table and mzv_counts are invisible.
 
-Each is a functools.lru_cache that keeps one expansion, grown by
-doubling, and serves every smaller size as that expansion's truncate.
+They are gfenum's only memos.  build_b is a plain functools.lru_cache,
+which expands each size it is asked for once; beta_table asks it only
+at its own expansion sizes.  The other four are grown: each is a
+functools.lru_cache that keeps one expansion, grown by doubling, and
+serves every smaller size as that expansion's truncate.
 Whatever order sizes are asked in, every value must equal the cold
 expansion at that size (``__wrapped__``, which never touches the
 cache), invalid sizes must raise as they do cold, and cache_clear must
@@ -47,9 +50,9 @@ def _zeta_side(call):
     return call.args[4] if call.args[0] is mzv._MZV_NUMERATOR else None
 
 
-# (grown function, least valid size, kernel call that expands it, size of a call or None)
+# (memo, least valid size, kernel call that expands it, size of a call or None)
+BUILD_B = pytest.param(build_b, 0, (generators, "_expand_rational"), _arg(4), id="build_b")
 GROWN = [
-    pytest.param(build_b, 0, (generators, "_expand_rational"), _arg(4), id="build_b"),
     pytest.param(p_closed, 1, (generators, "_expand_uni"), _arg(2), id="p_closed"),
     pytest.param(p_from_b, 1, (generators, "beta_table"), _arg(0), id="p_from_b"),
     pytest.param(beta_table, 0, (generators, "build_b"), _arg(0), id="beta_table"),
@@ -68,8 +71,14 @@ def expanded_sizes(grown, kernel, size_of, sizes, cold=True):
     return [size for size in expanded if size is not None]
 
 
-@pytest.mark.parametrize("grown, least, kernel, size_of", GROWN)
+every_memo = pytest.mark.parametrize("grown, least, kernel, size_of", [BUILD_B, *GROWN])
+grown_only = pytest.mark.parametrize("grown, least, kernel, size_of", GROWN)
+
+
 class TestGrownCache:
+    """What every memo keeps, and the doubling and cuts that only the grown four add."""
+
+    @every_memo
     def test_sweep_up_with_revisits_then_down_serves_cold_values(
         self, grown, least, kernel, size_of
     ):
@@ -84,15 +93,18 @@ class TestGrownCache:
         for size in walk:
             assert grown(size) == cold[size], size
 
+    @grown_only
     def test_an_upward_walk_expands_only_at_doublings(self, grown, least, kernel, size_of):
         sizes = range(max(least, 3), 41)
         assert expanded_sizes(grown, kernel, size_of, sizes) == [3, 6, 12, 24, 48]
 
+    @grown_only
     def test_a_smaller_size_is_cut_and_memoised(self, grown, least, kernel, size_of):
         assert expanded_sizes(grown, kernel, size_of, [30, 10, 20, 10, 30]) == [30]
         info = grown.cache_info()
         assert (info.hits, info.misses, info.currsize) == (2, 3, 3)
 
+    @every_memo
     def test_clear_drops_the_expansion_and_the_next_call_recomputes(
         self, grown, least, kernel, size_of
     ):
@@ -103,12 +115,14 @@ class TestGrownCache:
         info = grown.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
 
+    @every_memo
     def test_the_wrapped_expansion_leaves_the_cache_alone(self, grown, least, kernel, size_of):
         grown.cache_clear()
         grown.__wrapped__(30)
         assert grown.cache_info().currsize == 0
         assert expanded_sizes(grown, kernel, size_of, [20], cold=False) == [20]
 
+    @every_memo
     def test_a_failed_expansion_serves_cold_values_after(self, grown, least, kernel, size_of):
         grown.cache_clear()
         grown(12)
@@ -117,6 +131,7 @@ class TestGrownCache:
         for size in (20, 12, 6):
             assert grown(size) == grown.__wrapped__(size), size
 
+    @every_memo
     def test_invalid_size_raises_warm_and_cold(self, grown, least, kernel, size_of):
         grown.cache_clear()
         for _ in ("cold", "warm"):
@@ -125,9 +140,8 @@ class TestGrownCache:
             grown(30)
 
 
-# Every memo in gfenum: the seven caches a cold benchmark job clears, and no other
-SIZED = {"build_b", "p_closed", "p_from_b", "beta_table", "mzv_counts"}
-CACHES = SIZED | {"growth_root", "growth_constant"}
+# Every memo in gfenum: the five caches a cold benchmark job clears, and no other
+CACHES = {"build_b", "p_closed", "p_from_b", "beta_table", "mzv_counts"}
 
 
 def test_every_size_keyed_cache_can_be_inspected_and_cleared():
@@ -149,15 +163,21 @@ def test_every_size_keyed_cache_can_be_inspected_and_cleared():
         assert callable(cache) and getattr(sys.modules[cache.__module__], name) is cache, name
         info = cache.cache_info()
         assert type(info) is cache_info and info.maxsize is None, name
-    for name in SIZED:
+    for name in CACHES:
         caches[name](12)
-    caches["growth_constant"]()
     assert all(cache.cache_info().currsize >= 1 for cache in caches.values())
     for cache in caches.values():
         cache.cache_clear()
     assert {name: cache.cache_info().currsize for name, cache in caches.items()} == dict.fromkeys(
         CACHES, 0
     )
+
+
+def test_build_b_expands_each_size_it_is_asked_once():
+    _, _, kernel, size_of = BUILD_B.values
+    assert expanded_sizes(build_b, kernel, size_of, [30, 10, 20, 10, 30]) == [30, 10, 20]
+    info = build_b.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 3, 3)
 
 
 def test_mzv_counts_cut_cannot_extend():
@@ -344,7 +364,7 @@ def test_a_plain_mapping_must_hold_exactly_the_grid_in_order(max_weight, keys):
     assert list(counts.truncate(4).mzv) == GRID_9[:1]
 
 
-# Each grown cache, with the attempts to change a value it serves in place
+# Each memo, with the attempts to change a value it serves in place
 MUTATIONS = [
     pytest.param(build_b, 0, lambda b: [
         (setitem, b.coeffs, 0, ()), (setitem, b.coeffs[0], 0, 9), (setattr, b, "coeffs", ()),

@@ -61,10 +61,14 @@ class TestBuildB:
         assert build_b(weight) == build_b_dense(weight)
 
     def test_expansion_is_prefix_stable(self):
-        # the kernel writes in row-major order, so a deeper expansion
-        # truncated is the shallower one; both cold, since the cache
-        # itself serves smaller sizes as cuts
-        assert build_b.__wrapped__(60).truncate(30) == build_b.__wrapped__(30)
+        # the kernel writes in row-major order, so each row of a deeper
+        # expansion, cut to the shallower weight, is the shallower one's row
+        for deep, shallow in ((60, 30), (200, 120)):
+            deep_rows = build_b.__wrapped__(deep).coeffs
+            shallow_rows = build_b.__wrapped__(shallow).coeffs
+            assert len(shallow_rows) == shallow // 2 + 1
+            for j, row in enumerate(shallow_rows):
+                assert deep_rows[j][: shallow - 2 * j + 1] == row, (deep, j)
 
 
 class TestBetaTable:

@@ -142,6 +142,9 @@ class TestBiSeries:
     def test_sums_take_minimum_weight(self):
         a, b = bi_one(2, 1, 9), bi_one(2, 1, 4)
         assert bi_add(a, b).max_weight == 4
+        a = bi_from_terms(2, 1, 9, {(0, 0): 1, (1, 2): 2, (1, 3): 6, (4, 1): 7})
+        b = bi_from_terms(2, 1, 4, {(0, 0): 3, (2, 0): 5})
+        assert bi_add(a, b) == bi_from_terms(2, 1, 4, {(0, 0): 4, (1, 2): 2, (2, 0): 5})
 
     def test_sum_weight_mismatch(self):
         with pytest.raises(WeightMismatch):
