@@ -180,6 +180,14 @@ def test_build_b_expands_each_size_it_is_asked_once():
     assert (info.hits, info.misses, info.currsize) == (2, 3, 3)
 
 
+def test_build_b_expands_every_size_of_an_upward_walk():
+    _, _, kernel, size_of = BUILD_B.values
+    sizes = range(3, 41)  # the walk that the grown four expand only at 3, 6, 12, 24 and 48
+    assert expanded_sizes(build_b, kernel, size_of, sizes) == list(sizes)
+    info = build_b.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, len(sizes), len(sizes))
+
+
 def test_mzv_counts_cut_cannot_extend():
     with pytest.raises(IndexOutOfRange):
         mzv_counts(12).truncate(13)
