@@ -220,14 +220,19 @@ class BetaTable(_Frozen):
         return MappingProxyType(entries)
 
     def get(self, m: int, u: int) -> int:
-        row = self._row(m)
+        """beta(m, u): the table's value for even u <= m, 0 for odd u <= m, and beta(1, 2) = 1.
+
+        Raises IndexOutOfRange, checked in this order: a degree m outside [0, max_m], then a
+        negative u, then u > m other than beta(1, 2).
+        """
+        if 0 <= u <= m <= self.max_m:
+            return 0 if u & 1 else self.rows[m][u >> 1]
+        row = self._row(m)  # a degree outside the table raises before u is checked
         if u < 0:
             raise IndexOutOfRange("univalent count must be >= 0")
-        if u // 2 < len(row) and not u % 2:
-            return row[u // 2]
-        if u > m:
-            raise IndexOutOfRange(f"beta({m}, {u}) with u > m is undefined")
-        return 0  # odd u <= m
+        if m == 1 and u == 2:
+            return row[1]  # beta(1, 2) = 1, the one entry with u > m
+        raise IndexOutOfRange(f"beta({m}, {u}) with u > m is undefined")
 
     def tally_terms(self, m: int) -> list[int]:
         """The u >= 2 contributions to the primitive count at degree m."""

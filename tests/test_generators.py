@@ -109,17 +109,36 @@ class TestBetaTable:
         evens = {(m, u): table.get(m, u) for m in range(max_m + 1) for u in range(0, m + 1, 2)}
         assert table.entries == (evens | {(1, 2): 1} if max_m else evens)
 
-    def test_out_of_range_lookups_raise(self):
-        table = beta_table(10)
-        with pytest.raises(IndexOutOfRange):
-            table.get(11, 0)
-        with pytest.raises(IndexOutOfRange):
-            table.get(5, 6)
-        for m, u in ((1, 3), (2, 4), (1, -2)):
-            with pytest.raises(IndexOutOfRange):
+    @pytest.mark.parametrize("served", ["cold", "cut"])
+    def test_out_of_range_lookups_raise(self, served):
+        # get's whole contract: every value it reads, and each error with its message and order
+        if served == "cold":
+            table = beta_table.__wrapped__(10)
+        else:
+            beta_table.cache_clear()
+            largest = beta_table(30)
+            table = beta_table(10)
+            assert table.max_m == 10 and table.rows[10] is largest.rows[10]  # a cut sharing rows
+        for m in range(11):
+            for u in range(m + 1):
+                assert table.get(m, u) == (0 if u % 2 else table.rows[m][u // 2]), (m, u)
+        assert table.get(1, 2) == 1
+        # the degree is checked first, so a bad degree wins over a bad u
+        outside = r"^degree {} is outside the table range \[0, {}\]$"
+        for m, u in ((11, 0), (-1, 0), (11, -1), (-1, -1)):
+            with pytest.raises(IndexOutOfRange, match=outside.format(m, 10)):
                 table.get(m, u)
+        for m, u in ((5, -2), (1, -2)):
+            with pytest.raises(IndexOutOfRange, match=r"^univalent count must be >= 0$"):
+                table.get(m, u)
+        for m, u in ((5, 6), (0, 2), (1, 4), (1, 3), (2, 4)):
+            undefined = rf"^beta\({m}, {u}\) with u > m is undefined$"
+            with pytest.raises(IndexOutOfRange, match=undefined):
+                table.get(m, u)
+        with pytest.raises(IndexOutOfRange, match=outside.format(1, 0)):
+            beta_table.__wrapped__(0).get(1, 2)
         for m in (-2, -1, 11):
-            with pytest.raises(IndexOutOfRange):
+            with pytest.raises(IndexOutOfRange, match=outside.format(m, 10)):
                 table.tally_terms(m)
 
     def test_column_shift_identity(self):
