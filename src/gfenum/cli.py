@@ -36,10 +36,9 @@ class OutputTable(_Record):
         super().__init__(columns, rows, [] if notes is None else notes, code)
 
     def to_tsv(self) -> str:
-        lines = ["\t".join(self.columns)]
-        for row in self.rows:
-            lines.append("\t".join(map(str, row)))
-        return "\n".join(lines) + "\n"
+        rows = ("\t".join(map(str, row)) for row in self.rows)
+        # the closing "" gives the final newline without a second copy of the text
+        return "\n".join(["\t".join(self.columns), *rows, ""])
 
     def to_json(self, command: str) -> str:
         import json

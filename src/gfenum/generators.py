@@ -161,6 +161,13 @@ _B_NUMERATOR = {
     (0, 4): 1, (0, 5): -1, (1, 3): 1, (1, 4): -1, (2, 2): 1, (2, 4): -2, (3, 1): 1,
     (3, 3): -1, (3, 4): -1, (4, 1): 1, (4, 3): -1, (4, 4): -1, (4, 5): -1, (4, 6): 1,
 }
+# beta(2j + k, 2j) = B + 1: _B_NUMERATOR + (1 + x + x**2)(1 - y**2)(1 - y**3)(1 - y - x**2)
+_BETA_NUMERATOR = {
+    (0, 0): 1, (0, 1): -1, (0, 2): -1, (0, 4): 2, (0, 6): -1, (1, 0): 1, (1, 1): -1, (1, 2): -1,
+    (1, 3): 1, (1, 5): 1, (1, 6): -1, (2, 1): -1, (2, 2): 1, (2, 3): 1, (2, 4): -1, (2, 6): -1,
+    (3, 0): -1, (3, 1): 1, (3, 2): 1, (3, 4): -1, (3, 5): -1, (4, 0): -1, (4, 1): 1, (4, 2): 1,
+    (4, 4): -1, (4, 5): -2, (4, 6): 1,
+}
 _B_DENOMINATOR = (
     {(0, 0): 1, (0, 1): -1},
     {(0, 0): 1, (0, 2): -1},
@@ -170,7 +177,7 @@ _B_DENOMINATOR = (
 )
 
 
-@lru_cache(maxsize=None)  # no growth rule: beta_table asks only at its own expansion sizes
+@lru_cache(maxsize=None)  # no growth rule: no library function calls it
 def build_b(max_weight: int) -> BiSeries:
     """The conjectured two-variable generator of beta(2j + k, 2j) - 1.
 
@@ -249,13 +256,13 @@ class BetaTable(_Frozen):
 def beta_table(max_m: int) -> BetaTable:
     """Full table of beta values through degree max_m.
 
-    Built from the two-variable generator at matching weight, so no entry
+    Expanded from B + 1/((1 - x)(1 - y)) at matching weight, so no entry
     can silently read a stale zero; odd-u entries are zero by convention.
     """
-    coeffs = build_b(max_m).coeffs  # coeffs[j][m - 2j] = beta(m, 2j) - 1
-    # row j shifted right by 2j holds beta(m, 2j) in column m, so a transpose reads the table
-    shifted = [(0,) * (2 * j) + tuple(map(add, row, repeat(1))) for j, row in enumerate(coeffs)]
-    rows = [column[: m // 2 + 1] for m, column in enumerate(zip(*shifted))]
+    grid = _expand_rational(_BETA_NUMERATOR, _B_DENOMINATOR, 2, 1, max_m)
+    # grid[j][m - 2j] = beta(m, 2j): shifted right by 2j, row j holds it in column m
+    columns = zip(*([0] * (2 * j) + row for j, row in enumerate(grid)))
+    rows = [column[: m // 2 + 1] for m, column in enumerate(columns)]
     if max_m:
         rows[1] += (1,)  # beta(1, 2) = 1
     return BetaTable(max_m, tuple(rows))

@@ -24,11 +24,13 @@ written, and `series_constant` the whole route over a stored
 coefficient row: ten Horner passes, one per offset, then Neville
 extrapolation.
 
-Three functions do call the kernels, so they are no oracles: `peel_bi`
+Four functions do call the kernels, so they are no oracles: `peel_bi`
 and `peel_uni` run `transforms._peel_rational` on a stored series in
 either sign convention (`PRODUCT_OF_INVERSES`, `PRODUCT_PLAIN`; `SIGN`
-gives each one's power of the factors), and `build_eul_rhs` expands the
-Euler-sum generator with the division kernel.
+gives each one's power of the factors), `build_eul_rhs` expands the
+Euler-sum generator with the division kernel, and `beta_rows_from_b`
+reads the beta table's rows from `build_b` plus one, a second route to
+the table that `beta_table` divides out of its own numerator.
 """
 
 import math
@@ -36,7 +38,7 @@ from fractions import Fraction
 from functools import reduce
 
 from gfenum import mzv
-from gfenum.generators import _expand_rational
+from gfenum.generators import _expand_rational, build_b
 from gfenum.series import BiSeries, UniSeries, _zero_rows
 from gfenum.transforms import NonIntegerExponent, NonUnitConstant, _peel_rational
 
@@ -463,6 +465,20 @@ def build_b_dense(max_weight):
         bi_mul(bi_add(_embed(b3, 3, 1, w), _embed(b4, 4, 0, w)), inv_x3), bi_inverse(coupling)
     )
     return bi_add(part1, part2)
+
+
+def beta_rows_from_b(max_m):
+    """The beta table's rows through degree max_m from build_b: B + 1, shifted, transposed.
+
+    Row j of B, plus one and shifted right by 2j, holds beta(m, 2j) in column m, so the
+    transpose reads the table; beta(1, 2) = 1 is appended to row 1.
+    """
+    coeffs = build_b.__wrapped__(max_m).coeffs  # coeffs[j][m - 2j] = beta(m, 2j) - 1
+    shifted = [(0,) * (2 * j) + tuple(c + 1 for c in row) for j, row in enumerate(coeffs)]
+    rows = [column[: m // 2 + 1] for m, column in enumerate(zip(*shifted))]
+    if max_m:
+        rows[1] += (1,)
+    return tuple(rows)
 
 
 def build_mzv_rhs_dense(max_weight):

@@ -1,10 +1,11 @@
 """The memos of build_b, p_closed, p_from_b, beta_table and mzv_counts are invisible.
 
 They are gfenum's only memos.  build_b is a plain functools.lru_cache,
-which expands each size it is asked for once; beta_table asks it only
-at its own expansion sizes.  The other four are grown: each is a
-functools.lru_cache that keeps one expansion, grown by doubling, and
-serves every smaller size as that expansion's truncate.
+which expands each size it is asked for once; no other memo calls it,
+and beta_table divides its own numerator with the same kernel.  The
+other four are grown: each is a functools.lru_cache that keeps one
+expansion, grown by doubling, and serves every smaller size as that
+expansion's truncate.
 Whatever order sizes are asked in, every value must equal the cold
 expansion at that size (``__wrapped__``, which never touches the
 cache), invalid sizes must raise as they do cold, and cache_clear must
@@ -50,12 +51,17 @@ def _zeta_side(call):
     return call.args[4] if call.args[0] is mzv._MZV_NUMERATOR else None
 
 
+def _beta_side(call):
+    """The weight of a beta-table division; build_b divides another numerator."""
+    return call.args[4] if call.args[0] is generators._BETA_NUMERATOR else None
+
+
 # (memo, least valid size, kernel call that expands it, size of a call or None)
 BUILD_B = pytest.param(build_b, 0, (generators, "_expand_rational"), _arg(4), id="build_b")
 GROWN = [
     pytest.param(p_closed, 1, (generators, "_expand_uni"), _arg(2), id="p_closed"),
     pytest.param(p_from_b, 1, (generators, "beta_table"), _arg(0), id="p_from_b"),
-    pytest.param(beta_table, 0, (generators, "build_b"), _arg(0), id="beta_table"),
+    pytest.param(beta_table, 0, (generators, "_expand_rational"), _beta_side, id="beta_table"),
     pytest.param(mzv_counts, 0, (mzv, "_peel_rational"), _zeta_side, id="mzv_counts"),
 ]
 

@@ -266,16 +266,18 @@ class TestExitCodes:
         assert "Traceback" not in err and "1 passed, 1 failed" in err
 
     def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path):
-        target = tmp_path / "no-such-dir" / "x.tsv"
-        code, out, err = run_cli(capsys, "beta", "--output", str(target))
-        assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1 and "no-such-dir" in err
+        for target in (tmp_path / "no-such-dir" / "x.tsv", tmp_path):
+            code, out, err = run_cli(capsys, "beta", "--output", str(target))
+            assert code == 2
+            assert out == ""
+            assert len(err.splitlines()) == 1 and str(target) in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unreadable_reference_data_is_a_usage_error(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "verify", "--data", str(tmp_path / "missing.tsv"))
-        assert code == 2
-        assert len(err.splitlines()) == 1 and "missing.tsv" in err
+        for source in (tmp_path / "missing.tsv", tmp_path):
+            code, out, err = run_cli(capsys, "verify", "--data", str(source))
+            assert code == 2 and out == ""
+            assert len(err.splitlines()) == 1 and str(source) in err
         malformed = tmp_path / "malformed.tsv"
         malformed.write_text("seq:P\tsomewhere\tsequence\n", encoding="utf-8")
         code, _, err = run_cli(capsys, "verify", "--data", str(malformed))

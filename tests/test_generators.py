@@ -1,8 +1,12 @@
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfenum.generators import (
+    _BETA_NUMERATOR,
+    _B_NUMERATOR,
     UnsupportedDiagonal,
     _expand_rational,
     _expand_uni,
@@ -22,6 +26,7 @@ from gfenum.series import BiSeries, IndexOutOfRange
 from literals import P20, TABLE1, TALLIES, table1_cells
 from oracles import (
     UnsupportedColumn,
+    beta_rows_from_b,
     bi_from_terms,
     bi_inverse,
     bi_mul,
@@ -29,6 +34,7 @@ from oracles import (
     h_series,
     nonzero_terms,
     substitute_x,
+    times,
     uni_from_terms,
     uni_inverse,
     uni_mul,
@@ -108,6 +114,20 @@ class TestBetaTable:
         assert table.rows[1:2] == ((1, 1),)[:max_m]  # (beta(1, 0), beta(1, 2)) once max_m >= 1
         evens = {(m, u): table.get(m, u) for m in range(max_m + 1) for u in range(0, m + 1, 2)}
         assert table.entries == (evens | {(1, 2): 1} if max_m else evens)
+
+    def test_rows_equal_build_b_plus_one(self):
+        for max_m in (*range(151), 400):
+            assert beta_table.__wrapped__(max_m).rows == beta_rows_from_b(max_m), max_m
+
+    def test_numerator_is_b_plus_one_over_the_common_denominator(self):
+        # sum beta(2j + k, 2j) x**j y**k = B + 1/((1 - x)(1 - y)), and over B's denominator
+        # 1/((1 - x)(1 - y)) is (1 + x + x**2)(1 - y**2)(1 - y**3)(1 - y - x**2)
+        factors = ({(0, 0): 1, (1, 0): 1, (2, 0): 1}, {(0, 0): 1, (0, 2): -1},
+                   {(0, 0): 1, (0, 3): -1}, {(0, 0): 1, (0, 1): -1, (2, 0): -1})
+        plus_one = reduce(times, factors)
+        expected = {key: _B_NUMERATOR.get(key, 0) + plus_one.get(key, 0)
+                    for key in _B_NUMERATOR | plus_one}
+        assert _BETA_NUMERATOR == {key: c for key, c in expected.items() if c}
 
     @pytest.mark.parametrize("served", ["cold", "cut"])
     def test_out_of_range_lookups_raise(self, served):
